@@ -8,7 +8,7 @@ applies an accept/reject correction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,12 +53,16 @@ class MinibatchPlan:
 
     When m does not divide N the final batch of each epoch is short; the
     gradient estimator rescales by N/|batch| either way so it stays
-    unbiased.
+    unbiased. The current epoch's permutation is cached, so only the first
+    batch of an epoch pays for the O(N) permutation.
     """
 
     n_data: int
     batch_size: int
     rng: KeyedRng
+    # (epoch, permutation) of the last epoch served; outside eq, hash and repr
+    _epoch_perm: tuple = field(default=(None, None), init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not 1 <= self.batch_size <= self.n_data:
@@ -72,8 +76,11 @@ class MinibatchPlan:
         """Batch for global step t."""
         J = self.batches_per_epoch
         epoch, slot = divmod(t, J)
-        perm = self.rng.derive("epoch", epoch).permutation(self.n_data)
-        return perm[slot * self.batch_size:(slot + 1) * self.batch_size]
+        cached_epoch, perm = self._epoch_perm
+        if cached_epoch != epoch:
+            perm = self.rng.derive("epoch", epoch).permutation(self.n_data)
+            object.__setattr__(self, "_epoch_perm", (epoch, perm))
+        return perm[slot * self.batch_size:(slot + 1) * self.batch_size].copy()
 
 
 def stochastic_grad(target: FactoredTarget, theta, batch_indices) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Approximate Metropolis-Hastings with adaptive data-subsampling stopping rules.
 
-Each step reads likelihood terms batch by batch, from a fresh per-step
-permutation of the data, until either a t-statistic test or a concentration
-inequality (Hoeffding without replacement, or empirical Bernstein) says the
-subsampled accept/reject decision matches the full-data decision with high
-probability. Exhausting the data always recovers the exact MH test.
+Each step draws one permutation of the data and reads likelihood terms in
+batches that are consecutive slices of it, until either a t-statistic test
+or a concentration inequality (Hoeffding without replacement, or empirical
+Bernstein) says the subsampled accept/reject decision matches the full-data
+decision with high probability. Exhausting the data always recovers the
+exact MH test. The accumulator rejects any index read twice in one test
+with a boolean mask over the data: per batch, O(batch) indexing plus a copy
+and two counts of the N-byte mask, and no per-index Python work.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -38,7 +41,8 @@ class LLRAccumulator:
     m: int = 0
     mean: float = 0.0
     mean_sq: float = 0.0
-    _consumed: set = field(default_factory=set, repr=False)
+    # mask of the data indices read so far; made by the first llr_update
+    _seen: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def std(self) -> float:
         if self.m < 2:
@@ -90,12 +94,22 @@ def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
     """Fold a fresh batch of term indices into the running moments.
 
     Indices must come from one per-test permutation and never repeat within
-    a test.
+    a test; a repeat, across batches or inside this one, raises RuntimeError.
+    The guard copies the accumulator's mask of read indices (N bytes, so
+    ``acc`` itself is left unchanged), marks the batch in it and checks that
+    the count of marked indices grew by the batch size: O(batch) indexing
+    plus two counts over the mask, with no per-index Python work.
     """
     idx = np.asarray(indices, dtype=int)
-    dup = set(idx.tolist()) & acc._consumed
-    if dup or len(set(idx.tolist())) != len(idx):
-        raise RuntimeError(f"subsample indices reused within one test: {sorted(dup)[:5]}")
+    seen = np.zeros(target.n_data, dtype=bool) if acc._seen is None else acc._seen.copy()
+    n_seen = np.count_nonzero(seen)
+    seen[idx] = True
+    if np.count_nonzero(seen) - n_seen != idx.size:  # an index was read before
+        vals, counts = np.unique(idx % target.n_data, return_counts=True)
+        if acc._seen is not None:
+            counts += acc._seen[vals]
+        raise RuntimeError(
+            f"subsample indices reused within one test: {vals[counts > 1][:5].tolist()}")
     ell = target.log_lik_terms(idx, np.asarray(theta_new, float)) - target.log_lik_terms(
         idx, np.asarray(theta, float)
     )
@@ -103,8 +117,7 @@ def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
     m_new = acc.m + c
     mean = (acc.m * acc.mean + float(np.sum(ell))) / m_new
     mean_sq = (acc.m * acc.mean_sq + float(np.sum(ell**2))) / m_new
-    return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq,
-                          _consumed=acc._consumed | set(idx.tolist()))
+    return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq, _seen=seen)
 
 
 def ttest_should_stop(acc: LLRAccumulator, psi: float, N: int, epsilon: float):
@@ -223,14 +236,10 @@ def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
     u = rng.uniform()
     while not 0.0 < u < 1.0:  # u = 0 has measure zero but log(u) must exist
         u = rng.uniform()
-    psi = mh_log_threshold(u, theta, theta_new, proposal, _prior_of(target), target.n_data)
+    psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
     accept, m_used, _ = _run_stopping_rule(target, theta, theta_new, psi, cfg, rng)
     new_theta = theta_new if accept else theta
     return ChainState(np.asarray(new_theta, float), state.it + 1, state.rng_cursor + 1), m_used
-
-
-def _prior_of(target: FactoredTarget):
-    return target.log_prior
 
 
 def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,

@@ -67,6 +67,18 @@ def test_epoch_permutation_visits_each_index_once():
     assert np.all(np.bincount(all_idx, minlength=17) == E)
 
 
+def test_out_of_order_batches_match_a_fresh_plan():
+    rng = KeyedRng(5).child("mb")
+    plan = MinibatchPlan(n_data=17, batch_size=5, rng=rng)
+    for t in (0, 9, 1, 13, 2, 3, 8, 0, 12, 4):  # epochs 0, 2, 0, 3, 0, 0, 2, 0, 3, 1
+        got = plan.indices(t)
+        assert np.array_equal(got, MinibatchPlan(17, 5, rng).indices(t))
+        got[:] = -1  # a caller writing into its batch leaves the plan intact
+    assert np.array_equal(plan.indices(4), MinibatchPlan(17, 5, rng).indices(4))
+    assert plan == MinibatchPlan(17, 5, rng)
+    assert hash(plan) == hash(MinibatchPlan(17, 5, rng))
+
+
 def test_short_final_batch_scale():
     xs, target = small_target(n=10)
     plan = MinibatchPlan(n_data=10, batch_size=4, rng=KeyedRng(2).child("mb"))

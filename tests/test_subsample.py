@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from bigbayes import subsample
 from bigbayes.mcmc import ChainState, gaussian_random_walk
 from bigbayes.models import FactoredTarget, logistic_regression_target
 from bigbayes.rng import KeyedRng
@@ -171,6 +174,55 @@ def test_index_reuse_rejected():
         llr_update(acc, target, np.zeros(1), np.ones(1), [1, 2])
 
 
+def test_duplicate_inside_one_batch_rejected_and_named():
+    target = flat_prior_target(np.zeros(6))
+    with pytest.raises(RuntimeError, match=r"\[3\]"):
+        llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), [3, 3])
+    acc = llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), [0, 1])
+    with pytest.raises(RuntimeError, match=r"\[1, 4\]"):  # read before, and twice here
+        llr_update(acc, target, np.zeros(1), np.ones(1), [2, 4, 1, 5, 4])
+
+
+def test_update_leaves_its_input_accumulator_unchanged():
+    rng = np.random.default_rng(13)
+    target = flat_prior_target(rng.standard_normal(6))
+    th, thp = np.array([0.0]), np.array([0.7])
+    a1 = llr_update(LLRAccumulator(), target, th, thp, [0, 1])
+    a2 = llr_update(a1, target, th, thp, [2, 3])
+    # a1 has not read 2 and 3, so it may still branch onto them
+    b2 = llr_update(a1, target, th, thp, [3, 2])
+    assert (b2.m, b2.mean) == (a2.m, pytest.approx(a2.mean, abs=1e-14))
+    with pytest.raises(RuntimeError):
+        llr_update(a2, target, th, thp, [4, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_batched_moments_match_recompute_and_reuse_raises(data, n):
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    target = flat_prior_target(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    th = np.array([data.draw(finite)])
+    thp = np.array([data.draw(finite)])
+    perm = np.array(data.draw(st.permutations(range(n))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)))
+    acc = LLRAccumulator()
+    for start, stop in zip([0] + cuts, cuts + [n]):
+        acc = llr_update(acc, target, th, thp, perm[start:stop])
+    ell = target.log_lik_terms(perm, thp) - target.log_lik_terms(perm, th)
+    big = 1.0 + np.max(np.abs(ell))  # rounding error follows the terms, not their mean
+    assert acc.m == n
+    assert acc.mean == pytest.approx(np.mean(ell), abs=1e-12 * big)
+    assert acc.mean_sq == pytest.approx(np.mean(ell**2), abs=1e-12 * big**2)
+    # re-feed a prefix of the stream plus one index it already consumed
+    k = cuts[0] if cuts else n
+    head = llr_update(LLRAccumulator(), target, th, thp, perm[:k])
+    j = data.draw(st.sampled_from(perm[:k].tolist()))
+    fresh = perm[k:k + data.draw(st.integers(0, n - k))].tolist()
+    batch = data.draw(st.permutations(fresh + [j]))
+    with pytest.raises(RuntimeError):
+        llr_update(head, target, th, thp, batch)
+
+
 # -- t-test rule --------------------------------------------------------------
 
 def test_zero_variance_stops_immediately():
@@ -295,6 +347,52 @@ def test_tiny_epsilon_recovers_exact_decisions():
                                                  cfg, KeyedRng(7), compare_exact=True)
     assert disagreements == 0
     assert np.all(m_used == 40)  # continuous data: stops only at exhaustion
+
+
+def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
+    rng = np.random.default_rng(14)
+    N = 500
+    target = flat_prior_target(rng.standard_normal(N))
+    read = []
+    terms = target.log_lik_terms
+
+    def recording(idx, th):
+        read.append(np.array(idx))
+        return terms(idx, th)
+
+    monkeypatch.setattr(target, "log_lik_terms", recording)
+    prop = gaussian_random_walk(0.05)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
+    theta0 = np.array([0.3])
+    _, m_used = run_adaptive_mh(target, prop, theta0, 1, cfg, KeyedRng(15))
+    # llr_update reads each batch twice, at theta' and at theta
+    assert all(np.array_equal(a, b) for a, b in zip(read[::2], read[1::2]))
+    got = np.concatenate(read[::2])
+    gen = KeyedRng(15).derive("step", 0)
+    prop.sample(theta0, gen)
+    u = gen.uniform()
+    while not 0.0 < u < 1.0:
+        u = gen.uniform()
+    perm = gen.permutation(N)
+    assert len(read) > 2 and got.size == m_used[0] < N
+    assert np.array_equal(got, perm[:got.size])
+    assert np.unique(got).size == got.size
+
+
+def test_step_batches_go_through_the_module_llr_update(monkeypatch):
+    calls = []
+    real = subsample.llr_update
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(subsample, "llr_update", counting)
+    target = flat_prior_target(np.random.default_rng(16).standard_normal(300))
+    cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule="ttest")
+    _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 1,
+                                cfg, KeyedRng(17))
+    assert calls[:5] == [10, 20, 40, 80, 150] and sum(calls) == m_used[0] == 300
 
 
 def test_pilot_c_bound_positive_and_scaled():
