@@ -91,7 +91,7 @@ def _shard_inv_cov(arr, j):
         raise np.linalg.LinAlgError(f"singular sample covariance for shard {j}") from e
 
 
-def consensus_weighted(draws, prior_cov=None, diagonal: bool = False) -> np.ndarray:
+def consensus_weighted(draws, *, diagonal: bool = False) -> np.ndarray:
     """Weighted-average consensus: theta_t = sum_j W_j theta_{j,t}.
 
     Weights are normalized subposterior precisions, W_j = Sigma SigmaBar_j^-1
@@ -100,9 +100,8 @@ def consensus_weighted(draws, prior_cov=None, diagonal: bool = False) -> np.ndar
     share of the prior, the subposterior precisions sum to the posterior
     precision; adding the prior precision again, as a literal reading of
     the averaging pseudocode suggests, would double-count it and bias the
-    mean whenever the prior is informative. ``prior_cov`` is accepted for
-    interface compatibility but does not enter the weights. ``diagonal``
-    restricts the weights to per-dimension reciprocal-variance form.
+    mean whenever the prior is informative, so no prior enters the weights.
+    ``diagonal`` restricts the weights to per-dimension reciprocal-variance form.
     """
     arr = _as_draws_array(draws)
     J, T, d = arr.shape

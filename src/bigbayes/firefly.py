@@ -8,12 +8,12 @@ marginal of the augmented chain is the exact posterior.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mcmc import ProposalDist, SampleBuffer
+from .mcmc import ProposalDist, mh_log_alpha, mh_propose, run_chain
 from .models import FactoredTarget
 from .rng import KeyedRng
 
@@ -231,13 +231,13 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
                rho_z: float, rng_mh: np.random.Generator,
                rng_z: np.random.Generator):
-    """One MH update of theta under the augmented joint, then a brightness
-    resample; returns (state', accepted, n_likelihood_evals)."""
+    """One MH update of theta under the augmented joint (drawing from
+    ``rng_mh`` by ``mcmc.mh_propose``), then a brightness resample from
+    ``rng_z``; returns (state', accepted, n_likelihood_evals)."""
     if state.log_joint_aug is None:
         state.log_joint_aug = flymc_log_joint(state, target, bound)
     theta = state.theta
-    theta_new = proposal.sample(theta, rng_mh)
-    u = rng_mh.uniform()
+    theta_new, u = mh_propose(proposal, theta, rng_mh)
     prop_state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
                               dark_stat_sum=state.dark_stat_sum)
     evals = state.bright_count
@@ -245,18 +245,12 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
         lj_new = flymc_log_joint(prop_state, target, bound)
     except FloatingPointError:
         lj_new = -math.inf
-    log_alpha = lj_new - state.log_joint_aug
-    if not proposal.is_symmetric:
-        log_alpha += proposal.log_density(theta, theta_new) - proposal.log_density(
-            theta_new, theta
-        )
-    if math.log(u) < log_alpha:
-        accepted = True
+    log_alpha = mh_log_alpha(lj_new - state.log_joint_aug, proposal, theta, theta_new)
+    accepted = math.log(u) < log_alpha
+    if accepted:
         state = FireflyState(theta=np.asarray(theta_new, float), z=state.z.copy(),
                              dark_stat_sum=state.dark_stat_sum,
                              log_joint_aug=lj_new)
-    else:
-        accepted = False
     state, k = resample_brightness(state, target, bound, rho_z, rng_z)
     return state, accepted, evals + k
 
@@ -265,30 +259,26 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
               rng: KeyedRng, init: str = "sample"):
     """Drive the chain for T steps; returns (SampleBuffer, info).
 
-    The MH part of step t consumes the stream keyed ("step", t) in the same
-    order as ``run_mh``, so a tight bound with an all-dark state reproduces
-    plain MH decisions draw for draw.
+    The MH part of step t reads the stream keyed ("step", t) as in
+    ``run_mh``, so a tight bound with an all-dark state reproduces plain MH
+    decisions draw for draw; the resample reads the one keyed ("z", t).
     """
-    state = init_firefly(target, bound, theta0, rng.derive("init"), init=init)
-    d = state.theta.size
-    draws = np.empty((T, d))
-    flags = np.empty(T, dtype=bool)
-    bright = np.empty(T, dtype=int)
-    evals = np.empty(T, dtype=int)
-    for t in range(T):
+
+    def step(state, t, gen):
         state, accepted, n_ev = flymc_step(state, target, bound, proposal, rho_z,
-                                           rng.derive("step", t), rng.derive("z", t))
-        draws[t] = state.theta
-        flags[t] = accepted
-        bright[t] = state.bright_count
-        evals[t] = n_ev
+                                           gen, rng.derive("z", t))
+        return state, accepted, state.bright_count, n_ev
+
+    state = init_firefly(target, bound, theta0, rng.derive("init"), init=init)
+    buf, state, stats = run_chain(step, state, T, rng)
+    bright, evals = stats.reshape(T, 2).T
     info = {
         "bright_counts": bright,
         "likelihood_evals": evals,
         "mean_evals_per_step": float(evals.mean()),
         "final_state": state,
     }
-    return SampleBuffer(draws=draws, accept_flags=flags), info
+    return buf, info
 
 
 def check_coherence(state: FireflyState, target, bound, atol: float = 1e-8):

@@ -5,16 +5,19 @@ proposal recursion, finite-space detailed balance checking, and the fixed
 tree-order parallel likelihood reduction.
 
 All densities are handled in log space and acceptance is decided via
-``log u < log alpha``; a rejected proposal consumes exactly the same draws
-as an accepted one, so chains are reproducible draw-for-draw from any seed.
+``log u < log alpha``. Every exact or subsampled MH sampler draws its
+(theta', u) pair with ``mh_propose`` (the draw-order contract is stated
+there), forms log alpha with ``mh_log_alpha`` and runs its T steps with
+``run_chain``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .consensus import ShardPlan
 from .models import FactoredTarget
 from .rng import KeyedRng
 
@@ -23,7 +26,10 @@ __all__ = [
     "gaussian_random_walk",
     "ChainState",
     "SampleBuffer",
+    "mh_propose",
+    "mh_log_alpha",
     "mh_step",
+    "run_chain",
     "run_mh",
     "gibbs_sweep",
     "run_gibbs",
@@ -43,8 +49,7 @@ class ProposalDist:
     """Proposal q(theta' | theta) with a sampler and a log density.
 
     ``sample`` must consume a fixed number of draws from its generator
-    regardless of theta; keyed per-step streams rely on that to make
-    speculative and serial execution draw-identical.
+    regardless of theta (see ``mh_propose``).
     """
 
     sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -69,7 +74,6 @@ def gaussian_random_walk(scale) -> ProposalDist:
 class ChainState:
     theta: np.ndarray
     it: int = 0
-    rng_cursor: int = 0
     log_joint: Optional[float] = None
 
 
@@ -98,48 +102,79 @@ def _finite_or_neginf(fn, theta):
     return v if np.isfinite(v) else -math.inf
 
 
+def mh_propose(proposal: ProposalDist, theta, gen: np.random.Generator):
+    """(theta', u) for one MH decision, drawn from ``gen``.
+
+    The one draw-order contract of every MH sampler in the package: the
+    proposal's draws first, then one uniform, redrawn until 0 < u < 1 so
+    that log u exists. The proposal consumes a fixed number of draws
+    whatever theta is, so step t reads the same pair from the stream keyed
+    ("step", t) serially (``run_chain``), speculatively (``prefetch``), on an
+    augmented state (``firefly``) or before a subsampled test
+    (``subsample``, whose permutation and pilot draws follow the pair).
+    """
+    theta_new = proposal.sample(theta, gen)
+    u = gen.uniform()
+    while not 0.0 < u < 1.0:  # u = 0 has measure zero but log(u) must exist
+        u = gen.uniform()
+    return theta_new, u
+
+
+def mh_log_alpha(log_ratio: float, proposal: ProposalDist, theta, theta_new) -> float:
+    """log alpha from the target log ratio at (theta', theta), adding the
+    Hastings term log q(theta | theta') - log q(theta' | theta) when the
+    proposal is asymmetric."""
+    if proposal.is_symmetric:
+        return log_ratio
+    return log_ratio + (proposal.log_density(theta, theta_new)
+                        - proposal.log_density(theta_new, theta))
+
+
 def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Generator):
     """One MH update; returns (state', accepted, alpha).
 
     ``target`` may be a FactoredTarget or any object with ``log_joint``.
     A non-finite log joint at the proposal counts as alpha = 0, never a
-    crash. Draw order is fixed: proposal first, then the uniform.
+    crash. Draws follow ``mh_propose``.
     """
     theta = state.theta
     if state.log_joint is None:
         state.log_joint = target.log_joint(theta)
-    theta_new = proposal.sample(theta, rng)
-    u = rng.uniform()
+    theta_new, u = mh_propose(proposal, theta, rng)
     lj_new = _finite_or_neginf(target.log_joint, theta_new)
-    log_alpha = lj_new - state.log_joint
-    if not proposal.is_symmetric:
-        log_alpha += proposal.log_density(theta, theta_new) - proposal.log_density(
-            theta_new, theta
-        )
+    log_alpha = mh_log_alpha(lj_new - state.log_joint, proposal, theta, theta_new)
     alpha = min(1.0, math.exp(min(log_alpha, 0.0)))
     accepted = math.log(u) < log_alpha
     if accepted:
-        new_state = ChainState(theta_new, state.it + 1, state.rng_cursor + 1, lj_new)
-    else:
-        new_state = ChainState(theta, state.it + 1, state.rng_cursor + 1, state.log_joint)
-    return new_state, accepted, alpha
+        return ChainState(theta_new, state.it + 1, lj_new), accepted, alpha
+    return ChainState(theta, state.it + 1, state.log_joint), accepted, alpha
+
+
+def run_chain(step: Callable, state, T: int, rng: KeyedRng):
+    """T steps of ``step(state, t, rng.derive("step", t))``, which returns
+    (state', accepted, *int_stats); no other stream is keyed ("step", t),
+    so prefetching (``bigbayes.prefetch``) can reproduce the chain exactly.
+
+    Returns (SampleBuffer of state'.theta, final state, (T, k) int array of
+    the stats); with T = 0 that array has shape (0,), so callers reshape it.
+    """
+    draws = np.empty((T, state.theta.size))
+    flags = np.empty(T, dtype=bool)
+    stats = []
+    for t in range(T):
+        state, flags[t], *extra = step(state, t, rng.derive("step", t))
+        draws[t] = state.theta
+        stats.append(extra)
+    return SampleBuffer(draws=draws, accept_flags=flags), state, np.array(stats, dtype=int)
 
 
 def run_mh(target, proposal: ProposalDist, theta0, T: int, rng: KeyedRng) -> SampleBuffer:
-    """T MH steps with the per-step keyed stream discipline.
+    """T MH steps (``mh_step`` driven by ``run_chain``) from theta0."""
 
-    Step t consumes only the stream keyed ("step", t), which is what allows
-    prefetching (bigbayes.prefetch) to reproduce this chain bit-exactly.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    state = ChainState(theta0.copy())
-    draws = np.empty((T, theta0.size))
-    flags = np.empty(T, dtype=bool)
-    for t in range(T):
-        state, accepted, _ = mh_step(target, proposal, state, rng.derive("step", t))
-        draws[t] = state.theta
-        flags[t] = accepted
-    return SampleBuffer(draws=draws, accept_flags=flags)
+    def step(state, t, gen):
+        return mh_step(target, proposal, state, gen)[:2]
+
+    return run_chain(step, ChainState(np.array(theta0, dtype=float)), T, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +317,6 @@ def _tree_reduce(values):
     return vals[0]
 
 
-def _check_partition(shards, n):
-    seen = np.concatenate([np.asarray(s, dtype=int) for s in shards]) if shards else np.array([], int)
-    if len(seen) != n or (n and not np.array_equal(np.sort(seen), np.arange(n))):
-        raise ValueError("shards must partition 0..N-1")
-
-
 def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> float:
     """Full-data log likelihood via per-shard partial sums.
 
@@ -298,8 +327,7 @@ def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> flo
     are gathered to worker 0 before the same fixed reduction.
     """
     theta = np.asarray(theta, dtype=float)
-    shards = [np.asarray(s, dtype=int) for s in shards]
-    _check_partition(shards, target.n_data)
+    shards = ShardPlan(target.n_data, tuple(shards)).shards
 
     def shard_partial(idx):
         if len(idx) == 0:

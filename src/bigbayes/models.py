@@ -338,8 +338,8 @@ def gaussian_mean_target(spec: "GaussianModelSpec") -> FactoredTarget:
     """FactoredTarget for the Gaussian prior/shard model (one term per shard)."""
     d = spec.dim
     prior_prec = np.linalg.inv(spec.prior_cov)
-    shard_precs = [np.linalg.inv(S) for S in spec.shard_covs]
-    obs = [np.asarray(x, dtype=float) for x in spec.shard_obs]
+    shard_precs = np.linalg.inv(np.reshape(spec.shard_covs, (-1, d, d)))   # (J, d, d)
+    obs = np.reshape(spec.shard_obs, (-1, d))                              # (J, d)
 
     def log_prior(th):
         return float(-0.5 * th @ prior_prec @ th)
@@ -348,12 +348,13 @@ def gaussian_mean_target(spec: "GaussianModelSpec") -> FactoredTarget:
         return -prior_prec @ th
 
     def log_lik_terms(idx, th):
-        return np.array(
-            [-0.5 * (obs[j] - th) @ shard_precs[j] @ (obs[j] - th) for j in np.asarray(idx)]
-        )
+        idx = np.asarray(idx, dtype=int)
+        r = obs[idx] - th
+        return -0.5 * np.einsum("ji,jik,jk->j", r, shard_precs[idx], r)
 
     def grad_log_lik_terms(idx, th):
-        return np.array([shard_precs[j] @ (obs[j] - th) for j in np.asarray(idx)])
+        idx = np.asarray(idx, dtype=int)
+        return np.einsum("jik,jk->ji", shard_precs[idx], obs[idx] - th)
 
     return FactoredTarget(
         dim=d,

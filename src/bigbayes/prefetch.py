@@ -1,20 +1,21 @@
 """Speculative-execution (prefetching) Metropolis-Hastings.
 
 The accept/reject future of an MH chain is a binary tree; workers evaluate
-the log joint at speculative nodes ahead of the decisions. Proposal and
-uniform draws come from streams keyed by absolute chain position, never by
-speculation order, so the output chain is bit-identical to serial MH for
+the log joint at speculative nodes ahead of the decisions. Each node's
+(theta', u) comes from ``mcmc.mh_propose`` on the stream keyed by absolute
+chain position, never by speculation order, and each decision uses
+``mcmc.mh_log_alpha``, so the output chain is bit-identical to serial MH for
 every scheduling policy and worker count. Only accept-branch nodes need
 evaluation: a rejection reuses its parent's state and density.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .mcmc import ProposalDist, SampleBuffer
+from .mcmc import ProposalDist, SampleBuffer, mh_log_alpha, mh_propose
 from .rng import KeyedRng
 from .simcluster import MASTER, SimCluster
 
@@ -62,18 +63,6 @@ class SpecTree:
 
     # -- state materialization -------------------------------------------------
 
-    def _draws_for_step(self, step: int, parent_theta):
-        """(theta', u) for the decision at absolute chain step ``step``.
-
-        Same stream regardless of speculation path; the proposal consumes a
-        fixed number of draws so theta' differs across parents only through
-        the parent state itself.
-        """
-        gen = self.rng.derive("step", step)
-        theta_new = self.proposal.sample(parent_theta, gen)
-        u = gen.uniform()
-        return theta_new, u
-
     def state_for_prefix(self, prefix: str):
         """(theta, key-of-owning-accept-node-or-None) for a decision history."""
         last = prefix.rfind("1")
@@ -91,7 +80,8 @@ class SpecTree:
             return self.nodes[key]
         parent_theta, _ = self.state_for_prefix(key[:-1])
         step = self.steps_done + len(key) - 1
-        theta_new, u = self._draws_for_step(step, parent_theta)
+        # keyed by chain position: theta' depends on the path only via the parent
+        theta_new, u = mh_propose(self.proposal, parent_theta, self.rng.derive("step", step))
         self.us[step] = u
         node = _Node(key=key, theta=np.asarray(theta_new, float), uid=self._next_uid)
         self._next_uid += 1
@@ -119,10 +109,8 @@ class SpecTree:
                 break
             step = self.steps_done
             u = self.us[step]
-            log_alpha = node.lj - self.root_lj
-            if not self.proposal.is_symmetric:
-                log_alpha += self.proposal.log_density(self.root_theta, node.theta)
-                log_alpha -= self.proposal.log_density(node.theta, self.root_theta)
+            log_alpha = mh_log_alpha(node.lj - self.root_lj, self.proposal,
+                                     self.root_theta, node.theta)
             accepted = math.log(u) < log_alpha
             self._promote("1" if accepted else "0")
             out.append((self.root_theta.copy(), accepted))
@@ -312,9 +300,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
         cluster.run_until_quiescent({"prefetch-eval": on_eval,
                                      "prefetch-result": on_result})
         # barrier: master resolves only when the superstep's results are in
-        sync_time = max(cluster.clocks.values())
-        for nd in cluster.clocks:
-            cluster.clocks[nd] = sync_time
+        cluster.align_clocks()
         for uid, (key, lj) in results.items():
             node = tree.nodes.get(key)
             if node is None or node.uid != uid:

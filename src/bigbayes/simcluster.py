@@ -119,6 +119,12 @@ class SimCluster:
             processed += 1
         return list(self.trace)
 
+    def align_clocks(self):
+        """Barrier: advance every node's clock to the latest one."""
+        barrier_time = max(self.clocks.values())
+        for node in self.clocks:
+            self.clocks[node] = barrier_time
+
     # -- accounting -----------------------------------------------------------
 
     def makespan(self) -> float:
@@ -178,9 +184,7 @@ def bsp_superstep(cluster: SimCluster, state, local_work, merge, tag: str = "bsp
     for k in range(cluster.n_workers):
         cluster.send(k, MASTER, f"{tag}-sync", None)
     cluster.run_until_quiescent({f"{tag}-sync": lambda c, m: None})
-    barrier_time = max(cluster.clocks.values())
-    for node in cluster.clocks:
-        cluster.clocks[node] = barrier_time
+    cluster.align_clocks()
     for k in range(cluster.n_workers):
         cluster.send(MASTER, k, f"{tag}-release", None)
     cluster.run_until_quiescent({f"{tag}-release": lambda c, m: None})

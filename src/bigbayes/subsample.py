@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .mcmc import ChainState, ProposalDist, SampleBuffer
+from .mcmc import ChainState, ProposalDist, mh_propose, run_chain
 from .models import FactoredTarget
 from .rng import KeyedRng
 from .special import student_t_sf
@@ -197,9 +197,8 @@ def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
     N = target.n_data
     perm = rng.permutation(N)
     acc = LLRAccumulator()
-    c_value = None
-    if cfg.rule in ("hoeffding", "bernstein"):
-        c_value = _resolve_c(cfg, target, theta, theta_new, rng)
+    c_value = None if cfg.rule == "ttest" else _resolve_c(cfg, target, theta, theta_new, rng)
+    min_m = 1 if cfg.rule == "hoeffding" else 2
     batch = cfg.batch
     pos = 0
     k = 0
@@ -209,18 +208,25 @@ def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
         pos += take
         k += 1
         if acc.m >= N:
-            return acc.mean > psi, acc.m, acc
-        if cfg.rule == "ttest":
-            if acc.m >= 2:
+            break
+        if acc.m >= min_m:
+            if cfg.rule == "ttest":
                 stop, _ = ttest_should_stop(acc, psi, N, cfg.epsilon)
-                if stop:
-                    return acc.mean > psi, acc.m, acc
-        else:
-            if acc.m >= (2 if cfg.rule == "bernstein" else 1):
+            else:
                 stop, _ = concentration_should_stop(acc, psi, N, cfg, k, c_value)
-                if stop:
-                    return acc.mean > psi, acc.m, acc
+            if stop:
+                break
         batch = int(math.ceil(batch * cfg.geometric))
+    return acc.mean > psi, acc.m, acc
+
+
+def _subsampled_decision(target, proposal, theta, cfg, gen):
+    """(theta', psi, accept, m_used) of one step; draws follow
+    ``mcmc.mh_propose``, then the permutation, then the pilot."""
+    theta_new, u = mh_propose(proposal, theta, gen)
+    psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
+    accept, m_used, _ = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)
+    return theta_new, psi, accept, m_used
 
 
 def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
@@ -228,18 +234,11 @@ def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
                      rng: np.random.Generator):
     """One approximate MH step; returns (state', data_used).
 
-    Draw order is fixed (proposal, uniform, permutation, pilot) so a step is
-    reproducible from its generator alone.
+    A step is reproducible from its generator alone.
     """
-    theta = state.theta
-    theta_new = proposal.sample(theta, rng)
-    u = rng.uniform()
-    while not 0.0 < u < 1.0:  # u = 0 has measure zero but log(u) must exist
-        u = rng.uniform()
-    psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
-    accept, m_used, _ = _run_stopping_rule(target, theta, theta_new, psi, cfg, rng)
-    new_theta = theta_new if accept else theta
-    return ChainState(np.asarray(new_theta, float), state.it + 1, state.rng_cursor + 1), m_used
+    theta_new, _, accept, m_used = _subsampled_decision(target, proposal, state.theta, cfg, rng)
+    new_theta = theta_new if accept else state.theta
+    return ChainState(np.asarray(new_theta, float), state.it + 1), m_used
 
 
 def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
@@ -250,34 +249,22 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
     the same (theta', u) at every step and the count of decision mismatches
     is returned; the chain still follows the approximate decisions.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    draws = np.empty((T, theta.size))
-    flags = np.empty(T, dtype=bool)
-    m_used = np.empty(T, dtype=int)
-    disagreements = 0
     all_idx = np.arange(target.n_data)
-    for t in range(T):
-        gen = rng.derive("step", t)
-        theta_new = proposal.sample(theta, gen)
-        u = gen.uniform()
-        while not 0.0 < u < 1.0:
-            u = gen.uniform()
-        psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior,
-                               target.n_data)
-        accept, m, _ = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)
+
+    def step(state, t, gen):
+        theta = state.theta
+        theta_new, psi, accept, m = _subsampled_decision(target, proposal, theta, cfg, gen)
+        disagree = False
         if compare_exact:
             lam = float(np.mean(
                 target.log_lik_terms(all_idx, theta_new)
                 - target.log_lik_terms(all_idx, theta)
             ))
-            if (lam > psi) != accept:
-                disagreements += 1
-        if accept:
-            theta = theta_new
-        draws[t] = theta
-        flags[t] = accept
-        m_used[t] = m
-    buf = SampleBuffer(draws=draws, accept_flags=flags)
+            disagree = (lam > psi) != accept
+        return ChainState(theta_new if accept else theta, state.it + 1), accept, m, disagree
+
+    buf, _, stats = run_chain(step, ChainState(np.array(theta0, dtype=float)), T, rng)
+    m_used, disagree = stats.reshape(T, 2).T
     if compare_exact:
-        return buf, m_used, disagreements
+        return buf, m_used, int(disagree.sum())
     return buf, m_used

@@ -99,7 +99,7 @@ def test_gaussian_shard_matches_subposterior_oracle():
 def test_single_shard_weights_are_identity():
     rng = np.random.default_rng(4)
     draws = rng.standard_normal((1, 500, 2))
-    out = consensus_weighted(draws, prior_cov=np.eye(2) * 4.0)
+    out = consensus_weighted(draws)
     assert np.allclose(out, draws[0], atol=1e-10)
 
 
@@ -108,7 +108,7 @@ def test_weighted_consensus_matches_gaussian_oracle():
     spec = random_gaussian_spec(2, 4, rng)
     mu, cov = gaussian_posterior(spec)
     draws = exact_subposterior_draws(spec, 10**4, seed=6)
-    out = consensus_weighted(draws, spec.prior_cov)
+    out = consensus_weighted(draws)
     se = np.sqrt(np.diag(cov) / len(out))
     assert np.all(np.abs(out.mean(axis=0) - mu) < 3.5 * se)
     emp_cov = np.cov(out.T)
@@ -145,7 +145,7 @@ def test_singular_sample_covariance_names_shard():
     draws[0] = np.random.default_rng(8).standard_normal((50, 2))
     # shard 1 is constant -> singular
     with pytest.raises(np.linalg.LinAlgError, match="shard 1"):
-        consensus_weighted(draws, np.eye(2))
+        consensus_weighted(draws)
 
 
 def test_diagonal_weight_variant_runs():
@@ -153,7 +153,7 @@ def test_diagonal_weight_variant_runs():
     spec = random_gaussian_spec(2, 3, rng)
     draws = exact_subposterior_draws(spec, 4000, seed=10)
     mu, cov = gaussian_posterior(spec)
-    out = consensus_weighted(draws, spec.prior_cov, diagonal=True)
+    out = consensus_weighted(draws, diagonal=True)
     # diagonal weighting is approximate; just demand sane recovery
     assert np.all(np.abs(out.mean(axis=0) - mu) < 5 * np.sqrt(np.diag(cov) / len(out)) + 0.1)
 

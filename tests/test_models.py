@@ -255,6 +255,32 @@ def test_gaussian_target_matches_closed_form_differences():
     )
 
 
+def test_gaussian_target_terms_match_per_shard_loop():
+    # the stacked (J, d, d) form against the per-shard quadratic forms
+    rng = np.random.default_rng(6)
+    d, J = 3, 7
+    spec = GaussianModelSpec(
+        prior_cov=random_spd(d, rng),
+        shard_covs=tuple(random_spd(d, rng) for _ in range(J)),
+        shard_obs=tuple(rng.standard_normal(d) for _ in range(J)),
+    )
+    target = gaussian_mean_target(spec)
+    th = rng.standard_normal(d)
+    idx = np.array([4, 0, 4, 6])
+    precs = [np.linalg.inv(S) for S in spec.shard_covs]
+    resid = [spec.shard_obs[j] - th for j in idx]
+    terms = [-0.5 * r @ precs[j] @ r for j, r in zip(idx, resid)]
+    grads = [precs[j] @ r for j, r in zip(idx, resid)]
+    assert np.allclose(target.log_lik_terms(idx, th), terms, rtol=1e-12, atol=1e-14)
+    assert np.allclose(target.grad_log_lik_terms(idx, th), grads, rtol=1e-12, atol=1e-14)
+
+
+def test_gaussian_target_without_shards_is_prior():
+    target = gaussian_mean_target(GaussianModelSpec(prior_cov=np.diag([2.0, 3.0])))
+    assert target.n_data == 0
+    assert target.log_joint(np.array([1.0, -1.0])) == pytest.approx(-0.5 * (1 / 2 + 1 / 3))
+
+
 def test_gradient_zero_at_posterior_mode():
     spec = GaussianModelSpec.from_scalars(1.0, [1.0, 2.0], [2.0, 0.5])
     target = gaussian_mean_target(spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bigbayes.mcmc import gaussian_random_walk, run_mh
+from bigbayes.mcmc import ProposalDist, gaussian_random_walk, run_mh
 from bigbayes.models import FactoredTarget, gaussian_iid_target
 from bigbayes.prefetch import (
     SpecTree,
@@ -161,6 +161,34 @@ def test_bit_exact_with_subsample_predictor():
                           policy="predictive",
                           predictor=subsample_predictor(target, batch_size=10))
     assert np.array_equal(buf.draws, serial.draws)
+
+
+def autoregressive_proposal(rho, scale):
+    """Asymmetric proposal theta' ~ N(rho theta, scale^2)."""
+
+    def sample(theta, rng):
+        return rho * theta + scale * rng.standard_normal(theta.shape)
+
+    def log_density(new, old):
+        z = (np.asarray(new) - rho * np.asarray(old)) / scale
+        return float(-0.5 * np.sum(z**2))
+
+    return ProposalDist(sample=sample, log_density=log_density, is_symmetric=False)
+
+
+@pytest.mark.parametrize("J", [1, 4])
+@pytest.mark.parametrize("policy", ["naive", "predictive"])
+def test_bit_exact_with_asymmetric_proposal(J, policy):
+    # the Hastings term enters the speculative decisions as it does the serial ones
+    xs = np.random.default_rng(16).normal(0.5, 1.0, 30)
+    target = gaussian_iid_target(xs)
+    prop = autoregressive_proposal(0.7, 0.4)
+    serial = run_mh(target, prop, np.zeros(1), 300, KeyedRng(17))
+    buf, _ = prefetch_run(target, prop, np.zeros(1), 300, J, KeyedRng(17),
+                          policy=policy)
+    assert 0.0 < serial.acceptance_rate < 1.0
+    assert np.array_equal(buf.draws, serial.draws)
+    assert np.array_equal(buf.accept_flags, serial.accept_flags)
 
 
 def test_naive_j8_speedup_at_least_log2():

@@ -415,6 +415,20 @@ def test_adaptive_step_reports_data_usage():
     assert state.it == 1
 
 
+@pytest.mark.parametrize("rule", ["ttest", "hoeffding", "bernstein"])
+def test_run_adaptive_mh_is_steps_on_keyed_streams(rule):
+    rng = np.random.default_rng(13)
+    target = flat_prior_target(rng.standard_normal(300))
+    cfg = StopRuleConfig(batch=20, epsilon=0.05, rule=rule)
+    prop = gaussian_random_walk(0.3)
+    buf, m_used = run_adaptive_mh(target, prop, np.zeros(1), 40, cfg, KeyedRng(14))
+    state = ChainState(np.zeros(1))
+    for t in range(40):
+        state, m = adaptive_mh_step(target, prop, state, cfg, KeyedRng(14).derive("step", t))
+        assert np.array_equal(buf.draws[t], state.theta)
+        assert m == m_used[t]
+
+
 def test_tail_proposals_use_less_data_than_mode_proposals():
     # far-out proposals decide early; near-mode proposals read more data
     rng = np.random.default_rng(10)
