@@ -4,18 +4,18 @@ Shards carry a 1/J-downweighted prior so the subposterior product recovers
 the posterior. Aggregation is weighted averaging (precision weights),
 a product of Gaussian fits, or a product of Gaussian kernel density
 estimates sampled by component-index Gibbs. Shard sampling is independent
-until the single aggregation step.
+until the single aggregation step; on a ``SimCluster`` it is one
+``map_on_workers`` fan-out.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .models import FactoredTarget
-from .rng import KeyedRng
-from .simcluster import MASTER, SimCluster
+from .simcluster import SimCluster
 
 __all__ = [
     "ShardPlan",
@@ -204,28 +204,21 @@ def sample_subposteriors_on_cluster(target: FactoredTarget, plan: ShardPlan,
                                     sampler, cluster: SimCluster):
     """Run per-shard samplers as independent workers; one gather at the end.
 
-    ``sampler(subtarget, worker_rng) -> (T, d) draws``. Returns (J, T, d)
-    draws; the trace shows no inter-worker traffic before the final gather.
+    ``sampler(subtarget, worker_rng) -> (T, d) draws``. Shard j runs on
+    worker j through ``SimCluster.map_on_workers`` (tag
+    ``"consensus-sample"``), charged T times its number of data. Returns
+    (J, T, d) draws; the trace shows no inter-worker traffic.
     """
     J = plan.J
     if cluster.n_workers != J:
         raise ValueError("need one worker per shard")
-    results = [None] * J
 
-    def on_sample(cl, msg):
-        j = msg.payload
+    def shard_task(j):
         sub = subposterior_target(target, plan, j)
-        draws = sampler(sub, cl.worker_rng(j))
-        cl.charge(j, float(len(draws) * max(sub.n_data, 1)))
-        cl.send(j, MASTER, "consensus-gather", (j, draws))
+        draws = sampler(sub, cluster.worker_rng(j))
+        return np.asarray(draws, dtype=float), float(len(draws) * max(sub.n_data, 1))
 
-    def on_gather(cl, msg):
-        j, draws = msg.payload
-        results[j] = np.asarray(draws, dtype=float)
-
-    for j in range(J):
-        cluster.send(MASTER, j, "consensus-sample", j)
-    cluster.run_until_quiescent({"consensus-sample": on_sample,
-                                 "consensus-gather": on_gather})
+    results = cluster.map_on_workers([lambda j=j: shard_task(j) for j in range(J)],
+                                     tag="consensus-sample")
     arr = np.stack(results)
     return arr if arr.ndim == 3 else arr[:, :, None]

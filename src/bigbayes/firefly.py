@@ -52,9 +52,6 @@ class LikelihoodBound:
     dark_stats: Callable[[np.ndarray], np.ndarray]
     collapsed_log_product: Callable[[np.ndarray, np.ndarray], float]
 
-    def log_bound(self, n: int, theta) -> float:
-        return float(self.log_bound_batch(np.array([n]), np.asarray(theta, float))[0])
-
 
 def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodBound:
     """Testing-device bound B = exp(-delta) L for a 1D Gaussian-mean target.
@@ -275,7 +272,7 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
     info = {
         "bright_counts": bright,
         "likelihood_evals": evals,
-        "mean_evals_per_step": float(evals.mean()),
+        "mean_evals_per_step": float(evals.mean()) if T else float("nan"),
         "final_state": state,
     }
     return buf, info

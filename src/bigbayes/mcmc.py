@@ -323,8 +323,9 @@ def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> flo
     Partials are combined in a fixed binary tree over shard order, so the
     result is bit-identical whether partials are computed serially or by
     simulated workers. With ``cluster`` supplied, each shard is evaluated on
-    a worker (charging one work unit per likelihood term) and the partials
-    are gathered to worker 0 before the same fixed reduction.
+    a worker by ``SimCluster.map_on_workers`` (charging one work unit per
+    likelihood term) and the partials are gathered to the master before the
+    same fixed reduction.
     """
     theta = np.asarray(theta, dtype=float)
     shards = ShardPlan(target.n_data, tuple(shards)).shards
@@ -338,7 +339,7 @@ def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> flo
         partials = [shard_partial(s) for s in shards]
     else:
         partials = cluster.map_on_workers(
-            [(lambda idx=s: shard_partial(idx), float(len(s))) for s in shards],
+            [lambda idx=s: (shard_partial(idx), float(len(idx))) for s in shards],
             tag="loglik-shard",
         )
     return _tree_reduce(partials)

@@ -6,7 +6,7 @@ model whose closed-form posterior and subposteriors serve as the oracle for
 every sampler in the package.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

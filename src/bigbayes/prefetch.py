@@ -6,7 +6,8 @@ the log joint at speculative nodes ahead of the decisions. Each node's
 chain position, never by speculation order, and each decision uses
 ``mcmc.mh_log_alpha``, so the output chain is bit-identical to serial MH for
 every scheduling policy and worker count. Only accept-branch nodes need
-evaluation: a rejection reuses its parent's state and density.
+evaluation: a rejection reuses its parent's state and density. Each
+superstep's evaluations are one ``SimCluster.map_on_workers`` fan-out.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .mcmc import ProposalDist, SampleBuffer, mh_log_alpha, mh_propose
 from .rng import KeyedRng
-from .simcluster import MASTER, SimCluster
+from .simcluster import SimCluster
 
 __all__ = [
     "SpecTree",
@@ -35,8 +36,7 @@ class _Node:
     key: str                      # accept-node key relative to current root
     theta: np.ndarray
     uid: int
-    lj: Optional[float] = None
-    status: str = "pending"       # pending | running | done
+    lj: Optional[float] = None    # None until evaluated
 
 
 class SpecTree:
@@ -87,12 +87,6 @@ class SpecTree:
         self._next_uid += 1
         self.nodes[key] = node
         return node
-
-    def state_lj(self, prefix: str) -> Optional[float]:
-        theta, key = self.state_for_prefix(prefix)
-        if key is None:
-            return self.root_lj
-        return self.nodes[key].lj
 
     # -- resolution --------------------------------------------------------------
 
@@ -157,7 +151,7 @@ def naive_schedule(tree: SpecTree, J: int):
         for i in range(2 ** (depth - 1)):
             key = bin(i)[2:].zfill(depth - 1) + "1" if depth > 1 else "1"
             node = tree.nodes.get(key)
-            if node is not None and node.status != "pending":
+            if node is not None and node.lj is not None:
                 continue
             picked.append(key)
             if len(picked) == J:
@@ -220,7 +214,7 @@ def predictive_schedule(tree: SpecTree, J: int, predictor: Callable):
         for prefix, util in frontier:
             child = prefix + "1"
             node = tree.nodes.get(child)
-            if node is None or node.status == "pending":
+            if node is None or node.lj is None:
                 candidates.append((child, util))
             p = predictor(tree, prefix, child)
             if not 0.0 <= p <= 1.0:
@@ -264,18 +258,6 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     supersteps = 0
     evals = 0
 
-    def on_eval(cl, msg):
-        uid, key, theta = msg.payload
-        cl.charge(msg.dst, eval_cost)
-        lj = target.log_joint(theta)
-        cl.send(msg.dst, MASTER, "prefetch-result", (uid, key, lj))
-
-    results = {}
-
-    def on_result(cl, msg):
-        uid, key, lj = msg.payload
-        results[uid] = (key, lj)
-
     # the serial chain evaluates the initial state once; charge it to worker 0
     tree.root_lj = target.log_joint(tree.root_theta)
     cluster.charge(0, eval_cost)
@@ -288,27 +270,16 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
             keys = predictive_schedule(tree, J, predictor)
         else:
             raise ValueError(f"unknown policy {policy!r}")
-        results.clear()
-        dispatched = 0
-        for w, key in enumerate(keys):
-            node = tree.materialize(key)
-            if node.status != "pending":
-                continue
-            node.status = "running"
-            cluster.send(MASTER, w % J, "prefetch-eval", (node.uid, key, node.theta))
-            dispatched += 1
-        cluster.run_until_quiescent({"prefetch-eval": on_eval,
-                                     "prefetch-result": on_result})
+        nodes = [tree.materialize(key) for key in keys]
+        ljs = cluster.map_on_workers(
+            [lambda theta=node.theta: (target.log_joint(theta), eval_cost) for node in nodes],
+            tag="prefetch-eval")
         # barrier: master resolves only when the superstep's results are in
         cluster.align_clocks()
-        for uid, (key, lj) in results.items():
-            node = tree.nodes.get(key)
-            if node is None or node.uid != uid:
-                continue  # node was pruned while in flight
+        for node, lj in zip(nodes, ljs):
             node.lj = lj
-            node.status = "done"
-            tree.evaluated_uids.add(uid)
-        evals += dispatched
+            tree.evaluated_uids.add(node.uid)
+        evals += len(nodes)
         supersteps += 1
         for theta, accepted in tree.resolve_ready_steps():
             if done < T:
@@ -325,7 +296,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
 
     info = {
         "supersteps": supersteps,
-        "steps_per_superstep": T / supersteps,
+        "steps_per_superstep": T / supersteps if supersteps else float("nan"),
         "evals": evals,
         "serial_work": (T + 1) * eval_cost,
         "makespan": cluster.makespan(),

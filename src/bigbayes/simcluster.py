@@ -6,14 +6,19 @@ work, not wall clock or real threads. Event processing order is a pure
 function of configuration and seeds: the queue is ordered by
 (deliver_time, sequence number) and all randomness flows through per-worker
 keyed streams.
+
+Every master/worker fan-out in the package goes through one protocol,
+``SimCluster.map_on_workers``: task ``i`` is a callable returning
+``(value, work_units)``; the master sends it to worker ``i % K`` as a
+message of type ``tag``; the worker calls it, is charged ``work_units``, and
+then replies to the master as ``tag + "-result"``. No other module sends work
+messages or defines handlers for them.
 """
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
-
-import numpy as np
 
 from .rng import KeyedRng
 
@@ -138,31 +143,35 @@ class SimCluster:
     def trace_jsonl(self) -> str:
         return "\n".join(json.dumps(e) for e in self.trace)
 
-    def message_counts(self, type_prefix: str = "") -> int:
-        return sum(1 for e in self.trace if e["type"].startswith(type_prefix))
+    def message_counts(self, type: str) -> int:
+        """Number of delivered messages of exactly this type."""
+        return sum(1 for e in self.trace if e["type"] == type)
 
-    # -- convenience: synchronous fan-out -------------------------------------
+    # -- the one scatter-gather -----------------------------------------------
 
     def map_on_workers(self, tasks, tag: str = "task"):
-        """Run (callable, work_units) tasks round-robin across workers.
+        """Run tasks round-robin across workers; results in task order.
 
-        Each task is dispatched as a master -> worker message, computed at
-        the worker (charging its cost), and returned via a worker -> master
-        message; results come back in task order.
+        Task ``i`` is a callable returning ``(value, work_units)``. It is sent
+        master -> worker ``i % K`` as a ``tag`` message and called at the
+        worker, which is charged ``work_units`` before it replies worker ->
+        master as ``tag + "-result"``. The cost comes from the task because
+        some tasks learn it only by running.
         """
         results = [None] * len(tasks)
 
         def on_task(cluster, msg):
-            i, fn, units = msg.payload
+            i, fn = msg.payload
+            value, units = fn()
             cluster.charge(msg.dst, units)
-            cluster.send(msg.dst, MASTER, f"{tag}-result", (i, fn()))
+            cluster.send(msg.dst, MASTER, f"{tag}-result", (i, value))
 
         def on_result(cluster, msg):
             i, value = msg.payload
             results[i] = value
 
-        for i, (fn, units) in enumerate(tasks):
-            self.send(MASTER, i % self.n_workers, tag, (i, fn, units))
+        for i, fn in enumerate(tasks):
+            self.send(MASTER, i % self.n_workers, tag, (i, fn))
         self.run_until_quiescent({tag: on_task, f"{tag}-result": on_result})
         return results
 

@@ -4,19 +4,19 @@ Each shard owns a noisy local copy xi_j of the global parameter, coupled
 through Gaussian potentials of bandwidth h (per coordinate). Sampling
 alternates exact draws of theta | xi with per-shard updates of
 xi_j | theta, shrinking h trades sampling efficiency for fidelity to the
-true posterior.
+true posterior. On a ``SimCluster`` each round's xi updates are one
+``map_on_workers`` fan-out.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .mcmc import SampleBuffer
-from .models import FactoredTarget
+from .mcmc import SampleBuffer, gaussian_random_walk, mh_log_alpha, mh_propose
 from .rng import KeyedRng
-from .simcluster import MASTER, SimCluster
+from .simcluster import SimCluster
 
 __all__ = [
     "WeierstrassState",
@@ -60,7 +60,6 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
     theta, h = state.theta, state.h
-    d = theta.size
     if isinstance(subposterior, tuple):
         mu, cov = subposterior
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -71,16 +70,17 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
         return rng.multivariate_normal(cond_mu, cond_cov, method="cholesky")
     log_f = subposterior
     xi = state.xi[j].copy()
-    scale = proposal_scale if proposal_scale is not None else float(np.min(h))
+    walk = gaussian_random_walk(proposal_scale if proposal_scale is not None
+                                else float(np.min(h)))
 
     def log_target(x):
         return float(log_f(x)) - 0.5 * float(np.sum((x - theta) ** 2 / h**2))
 
     current = log_target(xi)
     for _ in range(inner_steps):
-        prop = xi + scale * rng.standard_normal(d)
+        prop, u = mh_propose(walk, xi, rng)
         cand = log_target(prop)
-        if math.log(rng.uniform()) < cand - current:
+        if math.log(u) < mh_log_alpha(cand - current, walk, xi, prop):
             xi, current = prop, cand
     return xi
 
@@ -92,10 +92,10 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     """Alternate parallel xi updates with synchronized theta draws.
 
     ``subposteriors`` is a list whose entries are (mu, cov) tuples or
-    callables as in ``xi_update``. Each round broadcasts theta to the J
-    workers, updates every xi_j in parallel on the cluster, gathers the
-    results, and redraws theta; ``sync_every`` > 1 redraws theta only every
-    s-th round (the communication-avoiding variant).
+    callables as in ``xi_update``. Each round updates every xi_j on worker j
+    through ``SimCluster.map_on_workers`` (tag ``"weier-update"``, charged
+    ``inner_steps``) and redraws theta; ``sync_every`` > 1 redraws theta only
+    every s-th round (the communication-avoiding variant).
     """
     rng = KeyedRng(0) if rng is None else rng
     J = len(subposteriors)
@@ -109,28 +109,13 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     draws = np.empty((T, theta0.size))
     flags = np.ones(T, dtype=bool)
 
-    new_xi = {}
-
-    def on_update(cl, msg):
-        j, theta, t = msg.payload
-        st = WeierstrassState(theta=theta, xi=state.xi, h=state.h)
-        gen = cl.worker_rng(j).derive("xi", t)
-        xi_j = xi_update(st, j, subposteriors[j], inner_steps, gen)
-        cl.charge(j, float(inner_steps))
-        cl.send(j, MASTER, "weier-gather", (j, xi_j))
-
-    def on_gather(cl, msg):
-        j, xi_j = msg.payload
-        new_xi[j] = xi_j
+    def update_task(j, t):
+        gen = cluster.worker_rng(j).derive("xi", t)
+        return xi_update(state, j, subposteriors[j], inner_steps, gen), float(inner_steps)
 
     for t in range(T):
-        new_xi.clear()
-        for j in range(J):
-            cluster.send(MASTER, j, "weier-update", (j, state.theta.copy(), t))
-        cluster.run_until_quiescent({"weier-update": on_update,
-                                     "weier-gather": on_gather})
-        for j, xi_j in new_xi.items():
-            state.xi[j] = xi_j
+        state.xi[:] = cluster.map_on_workers(
+            [lambda j=j: update_task(j, t) for j in range(J)], tag="weier-update")
         if (t + 1) % sync_every == 0:
             state.theta = theta_update(state, rng.derive("theta", t))
         draws[t] = state.theta

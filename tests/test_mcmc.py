@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bigbayes.firefly import run_flymc, scaled_gaussian_bound
 from bigbayes.mcmc import (
     ChainState,
     ProposalDist,
@@ -20,8 +21,16 @@ from bigbayes.mcmc import (
     run_gibbs,
     run_mh,
 )
-from bigbayes.models import FactoredTarget, GaussianModelSpec, gaussian_mean_target
+from bigbayes.models import (
+    FactoredTarget,
+    GaussianModelSpec,
+    gaussian_iid_target,
+    gaussian_mean_target,
+)
+from bigbayes.prefetch import prefetch_run
 from bigbayes.rng import KeyedRng
+from bigbayes.subsample import StopRuleConfig, run_adaptive_mh
+from bigbayes.weierstrass import WeierstrassState, weierstrass_run, xi_update
 
 
 def std_normal_target():
@@ -94,6 +103,9 @@ class FirstUniformZero:
             return 0.0
         return self.gen.uniform()
 
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
 
 def test_zero_uniform_is_redrawn():
     prop = ProposalDist(sample=lambda th, rng: th, log_density=lambda a, b: 0.0,
@@ -104,6 +116,13 @@ def test_zero_uniform_is_redrawn():
     state, accepted, _ = mh_step(std_normal_target(), prop, ChainState(np.array([0.3])),
                                  FirstUniformZero(KeyedRng(4).derive(0)))
     assert accepted and state.it == 1
+
+
+def test_xi_update_redraws_zero_uniform():
+    state = WeierstrassState(theta=np.zeros(1), xi=np.zeros((1, 1)), h=0.5)
+    xi = xi_update(state, 0, lambda x: -0.5 * float(x @ x), 3,
+                   FirstUniformZero(KeyedRng(4).derive(0)))
+    assert np.all(np.isfinite(xi))
 
 
 def test_rejections_advance_cursor_identically():
@@ -396,3 +415,32 @@ def test_non_partition_rejected():
         parallel_log_lik(t, np.zeros(1), [np.arange(10)])
     with pytest.raises(ValueError):
         parallel_log_lik(t, np.zeros(1), [np.arange(20), np.array([0])])
+
+
+# -- zero-length runs -------------------------------------------------------------
+
+_XS = np.linspace(-1.0, 2.0, 20)
+_PROP = gaussian_random_walk(0.3)
+_ZERO_STEP_RUNS = {
+    "run_mh": lambda: run_mh(gaussian_iid_target(_XS), _PROP, np.zeros(1), 0, KeyedRng(1)),
+    "run_adaptive_mh": lambda: run_adaptive_mh(
+        gaussian_iid_target(_XS), _PROP, np.zeros(1), 0,
+        StopRuleConfig(rule="ttest", epsilon=0.05), KeyedRng(1))[0],
+    "run_flymc": lambda: run_flymc(gaussian_iid_target(_XS), scaled_gaussian_bound(_XS, 0.1),
+                                   _PROP, np.zeros(1), 0, 0.1, KeyedRng(1)),
+    "prefetch_run": lambda: prefetch_run(gaussian_iid_target(_XS), _PROP, np.zeros(1), 0, 4,
+                                         KeyedRng(1)),
+    "weierstrass_run": lambda: weierstrass_run([(0.0, 1.0), (1.0, 1.0)], np.zeros(1), 0.5, 0,
+                                               rng=KeyedRng(1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_ZERO_STEP_RUNS))
+def test_zero_steps_return_no_draws_without_warnings(name):
+    out = _ZERO_STEP_RUNS[name]()
+    buf, info = out if isinstance(out, tuple) else (out, {})
+    assert buf.draws.shape == (0, 1) and buf.accept_flags.shape == (0,)
+    for key in ("steps_per_superstep", "mean_evals_per_step"):
+        if key in info:
+            assert np.isnan(info[key])

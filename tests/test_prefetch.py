@@ -87,7 +87,7 @@ def test_naive_bfs_counts():
 def test_naive_skips_evaluated_nodes():
     tree = make_tree()
     node = tree.materialize("1")
-    node.status = "done"
+    node.lj = 0.0
     assert naive_schedule(tree, 2) == ["01", "11"]
 
 
@@ -215,3 +215,13 @@ def test_simulated_speedup_tracks_steps_per_superstep():
     prop = gaussian_random_walk(2.0)
     buf, info = prefetch_run(target, prop, np.zeros(1), 500, 4, KeyedRng(15))
     assert info["speedup"] == pytest.approx(info["steps_per_superstep"], rel=0.25)
+
+
+@pytest.mark.parametrize("policy", ["naive", "predictive"])
+def test_eval_messages_count_every_eval_but_the_initial_one(policy):
+    target = gaussian_iid_target(np.random.default_rng(16).normal(0, 1, 20))
+    _, info = prefetch_run(target, gaussian_random_walk(0.8), np.zeros(1), 200, 4,
+                           KeyedRng(17), policy=policy)
+    cluster = info["cluster"]
+    assert cluster.message_counts("prefetch-eval") == info["evals"] - 1
+    assert cluster.message_counts("prefetch-eval-result") == info["evals"] - 1

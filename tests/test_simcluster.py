@@ -94,15 +94,36 @@ def test_virtual_time_nondecreasing_along_trace():
 def test_speedup_embarrassingly_parallel_equals_k():
     K = 5
     c = SimCluster(K, msg_latency=0.0)
-    tasks = [(lambda: 1, 10.0) for _ in range(K * 20)]
+    tasks = [lambda: (1, 10.0) for _ in range(K * 20)]
     c.map_on_workers(tasks)
     assert c.speedup() == pytest.approx(K, rel=0.01)
 
 
 def test_map_on_workers_returns_in_task_order():
     c = SimCluster(3)
-    tasks = [(lambda i=i: i * i, 1.0) for i in range(10)]
+    tasks = [lambda i=i: (i * i, 1.0) for i in range(10)]
     assert c.map_on_workers(tasks) == [i * i for i in range(10)]
+
+
+def test_map_on_workers_charges_units_returned_by_each_task():
+    K = 3
+    c = SimCluster(K, msg_latency=0.0)
+    units = [float(i + 1) for i in range(8)]
+    c.map_on_workers([lambda u=u: (None, u) for u in units], tag="job")
+    for k in range(K):
+        assert c.clocks[k] == sum(units[k::K])
+    assert c.total_charged == sum(units)
+    assert c.message_counts("job") == c.message_counts("job-result") == len(units)
+
+
+def test_message_counts_match_whole_type_names():
+    c = SimCluster(1)
+    for t in ("eval", "eval-result", "eval", "evaluate"):
+        c.send(MASTER, 0, t)
+    c.run_until_quiescent({t: lambda cl, m: None for t in ("eval", "eval-result", "evaluate")})
+    assert c.message_counts("eval") == 2
+    assert c.message_counts("eval-result") == 1
+    assert c.message_counts("ev") == 0
 
 
 def test_trace_jsonl_schema():
