@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import FactoredTarget
+from .models import FactoredTarget, _rows
 from .simcluster import SimCluster
 
 __all__ = [
@@ -51,12 +51,42 @@ class ShardPlan:
         return len(self.shards)
 
 
+def _as_range(shard: np.ndarray):
+    """The shard as a ``range`` when it is consecutive increasing indices,
+    else the array itself."""
+    if len(shard) and np.all(np.diff(shard) == 1):
+        return range(int(shard[0]), int(shard[-1]) + 1)
+    return shard
+
+
+def _shard_rows(shard: np.ndarray):
+    """``idx -> shard[idx]`` as base-target term indices.
+
+    A unit-step range inside a contiguous shard maps to the range it
+    stands for, which the base kernel reads as a view; every other index
+    is gathered through the shard array.
+    """
+    base = _as_range(shard)
+
+    def rows(idx):
+        sel = _rows(idx, len(shard))
+        return base[sel] if isinstance(sel, slice) else shard[sel]
+
+    return rows
+
+
 def subposterior_target(target: FactoredTarget, plan: ShardPlan, j: int) -> FactoredTarget:
     """Shard j's target: prior downweighted to the 1/J power plus the
-    shard's likelihood terms."""
+    shard's likelihood terms.
+
+    A contiguous shard (as in ``ShardPlan.contiguous``) passes its
+    full-shard sums to the base kernels as a range, so the shipped models
+    read it as a view of the data rather than a gathered copy.
+    """
     if not 0 <= j < plan.J:
         raise ValueError(f"shard index {j} out of range")
     shard = plan.shards[j]
+    rows = _shard_rows(shard)
     J = plan.J
     base_prior, base_grad = target.log_prior, target.grad_log_prior
     base_terms, base_grad_terms = target.log_lik_terms, target.grad_log_lik_terms
@@ -66,8 +96,8 @@ def subposterior_target(target: FactoredTarget, plan: ShardPlan, j: int) -> Fact
         n_data=len(shard),
         log_prior=lambda th: base_prior(th) / J,
         grad_log_prior=lambda th: np.asarray(base_grad(th), float) / J,
-        log_lik_terms=lambda idx, th: base_terms(shard[np.asarray(idx)], th),
-        grad_log_lik_terms=lambda idx, th: base_grad_terms(shard[np.asarray(idx)], th),
+        log_lik_terms=lambda idx, th: base_terms(rows(idx), th),
+        grad_log_lik_terms=lambda idx, th: base_grad_terms(rows(idx), th),
     )
 
 

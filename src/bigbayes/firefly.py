@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mcmc import ProposalDist, mh_log_alpha, mh_propose, run_chain
-from .models import FactoredTarget
+from .models import FactoredTarget, _rows
 from .rng import KeyedRng
 
 __all__ = [
@@ -44,7 +44,8 @@ class LikelihoodBound:
 
     ``dark_stats`` maps term indices to per-datum statistic rows whose sum
     lets ``collapsed_log_product`` evaluate sum(log B_n) over any dark set
-    without reading the data again.
+    without reading the data again. Term indices follow the
+    ``FactoredTarget`` contract: an integer array or a ``range``.
     """
 
     stat_dim: int
@@ -65,11 +66,11 @@ def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodB
     const = -0.5 * math.log(2 * math.pi * lik_var)
 
     def log_bound_batch(idx, theta):
-        x = xs[np.asarray(idx)]
+        x = xs[_rows(idx, len(xs))]
         return -0.5 * (x - theta[0]) ** 2 / lik_var + const - delta
 
     def dark_stats(idx):
-        x = xs[np.asarray(idx)]
+        x = xs[_rows(idx, len(xs))]
         return np.column_stack([np.ones_like(x), x, x**2])
 
     def collapsed(theta, s):
@@ -98,14 +99,15 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
     d = X.shape[1]
 
     def log_bound_batch(idx, theta):
-        idx = np.asarray(idx)
-        z = A[idx] @ theta
-        return c[idx] + z / 2.0 - lam[idx] * z**2
+        rows = _rows(idx, len(A))
+        z = A[rows] @ theta
+        return c[rows] + z / 2.0 - lam[rows] * z**2
 
     def dark_stats(idx):
-        idx = np.asarray(idx)
-        quad = lam[idx, None, None] * (A[idx][:, :, None] * A[idx][:, None, :])
-        return np.column_stack([c[idx], A[idx] / 2.0, quad.reshape(len(idx), d * d)])
+        rows = _rows(idx, len(A))
+        a = A[rows]
+        quad = lam[rows, None, None] * (a[:, :, None] * a[:, None, :])
+        return np.column_stack([c[rows], a / 2.0, quad.reshape(len(a), d * d)])
 
     def collapsed(theta, s):
         const = s[0]
@@ -160,11 +162,11 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
     if init == "dark":
         z = np.zeros(N, dtype=bool)
     elif init == "sample":
-        probs = _brightness_probs(np.arange(N), theta0, target, bound)
+        probs = _brightness_probs(range(N), theta0, target, bound)
         z = rng.random(N) < probs
     else:
         raise ValueError(f"unknown init {init!r}")
-    stats = bound.dark_stats(np.arange(N))
+    stats = bound.dark_stats(range(N))
     dark_sum = stats[~z].sum(axis=0) if N else np.zeros(bound.stat_dim)
     return FireflyState(theta=theta0.copy(), z=z, dark_stat_sum=dark_sum)
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .consensus import ShardPlan
+from .consensus import ShardPlan, _as_range
 from .models import FactoredTarget
 from .rng import KeyedRng
 
@@ -325,10 +325,12 @@ def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> flo
     simulated workers. With ``cluster`` supplied, each shard is evaluated on
     a worker by ``SimCluster.map_on_workers`` (charging one work unit per
     likelihood term) and the partials are gathered to the master before the
-    same fixed reduction.
+    same fixed reduction. A contiguous shard is passed to
+    ``target.log_lik_terms`` as a range, which the shipped models read as
+    a view of the data.
     """
     theta = np.asarray(theta, dtype=float)
-    shards = ShardPlan(target.n_data, tuple(shards)).shards
+    shards = [_as_range(s) for s in ShardPlan(target.n_data, tuple(shards)).shards]
 
     def shard_partial(idx):
         if len(idx) == 0:

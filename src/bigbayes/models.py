@@ -257,6 +257,22 @@ def gaussian_mean_pair() -> ConjugatePair:
 # Factored targets
 # ---------------------------------------------------------------------------
 
+def _rows(idx, n: int):
+    """Term indices as a row selector for arrays of length ``n``.
+
+    A unit-step range inside 0..n becomes the slice that reads the same
+    rows as a view. Any other range (step != 1, a negative start, a stop
+    past n) would read differently as a slice, so it becomes its integer
+    array and is gathered, behaving as that array does; so does every
+    other index.
+    """
+    if not isinstance(idx, range):
+        return np.asarray(idx)
+    if idx.step == 1 and 0 <= idx.start <= idx.stop <= n:
+        return slice(idx.start, idx.stop)
+    return np.arange(idx.start, idx.stop, idx.step)
+
+
 @dataclass
 class FactoredTarget:
     """Posterior factored as a prior plus N per-datum log-likelihood terms.
@@ -266,6 +282,14 @@ class FactoredTarget:
     callables, and missing gradients fall back to central finite
     differences. Instances are immutable after construction and safe to
     share across workers.
+
+    A batch of term indices is an integer array or a ``range``, and every
+    batch kernel, a user's included, must accept both. A range ``r`` means
+    exactly the indices ``np.asarray(r)``; convert it with
+    ``np.arange(r.start, r.stop, r.step)``, which stays an integer array
+    when ``r`` is empty. The full-data sums pass ``all_indices()``, which
+    is ``range(n_data)``, and the shipped kernels read a unit-step range
+    inside 0..N as a slice, a view with no copy.
     """
 
     dim: int
@@ -311,8 +335,8 @@ class FactoredTarget:
 
     # -- full-data sums -----------------------------------------------------
 
-    def all_indices(self) -> np.ndarray:
-        return np.arange(self.n_data)
+    def all_indices(self) -> range:
+        return range(self.n_data)
 
     def log_likelihood(self, theta) -> float:
         if self.n_data == 0:
@@ -348,13 +372,13 @@ def gaussian_mean_target(spec: "GaussianModelSpec") -> FactoredTarget:
         return -prior_prec @ th
 
     def log_lik_terms(idx, th):
-        idx = np.asarray(idx, dtype=int)
-        r = obs[idx] - th
-        return -0.5 * np.einsum("ji,jik,jk->j", r, shard_precs[idx], r)
+        rows = _rows(idx, len(obs))
+        r = obs[rows] - th
+        return -0.5 * np.einsum("ji,jik,jk->j", r, shard_precs[rows], r)
 
     def grad_log_lik_terms(idx, th):
-        idx = np.asarray(idx, dtype=int)
-        return np.einsum("jik,jk->ji", shard_precs[idx], obs[idx] - th)
+        rows = _rows(idx, len(obs))
+        return np.einsum("jik,jk->ji", shard_precs[rows], obs[rows] - th)
 
     return FactoredTarget(
         dim=d,
@@ -372,10 +396,10 @@ def gaussian_iid_target(xs, prior_var: float = 1.0, lik_var: float = 1.0) -> Fac
     const = -0.5 * np.log(2 * np.pi * lik_var)
 
     def log_lik_terms(idx, th):
-        return -0.5 * (xs[np.asarray(idx)] - th[0]) ** 2 / lik_var + const
+        return -0.5 * (xs[_rows(idx, len(xs))] - th[0]) ** 2 / lik_var + const
 
     def grad_log_lik_terms(idx, th):
-        return ((xs[np.asarray(idx)] - th[0]) / lik_var)[:, None]
+        return ((xs[_rows(idx, len(xs))] - th[0]) / lik_var)[:, None]
 
     return FactoredTarget(
         dim=1,
@@ -410,13 +434,15 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
         return -inv_var * th
 
     def log_lik_terms(idx, th):
-        z = (X[idx] @ th) * y[idx]
+        rows = _rows(idx, n)
+        z = (X[rows] @ th) * y[rows]
         return -np.logaddexp(0.0, -z)
 
     def grad_log_lik_terms(idx, th):
-        z = (X[idx] @ th) * y[idx]
-        w = _sigmoid(-z) * y[idx]
-        return X[idx] * w[:, None]
+        rows = _rows(idx, n)
+        Xr, yr = X[rows], y[rows]
+        z = (Xr @ th) * yr
+        return Xr * (_sigmoid(-z) * yr)[:, None]
 
     return FactoredTarget(
         dim=d,

@@ -249,7 +249,7 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
     the same (theta', u) at every step and the count of decision mismatches
     is returned; the chain still follows the approximate decisions.
     """
-    all_idx = np.arange(target.n_data)
+    all_idx = target.all_indices()
 
     def step(state, t, gen):
         theta = state.theta

@@ -9,6 +9,7 @@ true posterior. On a ``SimCluster`` each round's xi updates are one
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,6 +98,8 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     ``inner_steps``) and redraws theta; ``sync_every`` > 1 redraws theta only
     every s-th round (the communication-avoiding variant).
     """
+    if not isinstance(sync_every, numbers.Integral) or sync_every < 1:
+        raise ValueError(f"sync_every must be an integer >= 1, got {sync_every!r}")
     rng = KeyedRng(0) if rng is None else rng
     J = len(subposteriors)
     if cluster is None:

@@ -51,6 +51,12 @@ def test_sync_every_two_redraws_theta_on_odd_rounds_only():
         assert not np.array_equal(d[2 * k - 1], d[2 * k - 2])
 
 
+@pytest.mark.parametrize("bad", [0, -1, 1.0])
+def test_sync_every_below_one_or_not_int_raises_naming_value(bad):
+    with pytest.raises(ValueError, match=f"sync_every.*{bad!r}"):
+        weierstrass_run(SUBS_1D, np.zeros(1), 0.5, 3, sync_every=bad, rng=KeyedRng(2))
+
+
 # -- callable path and cost ------------------------------------------------------
 
 class ChargeLog(SimCluster):
