@@ -177,8 +177,7 @@ def scott_bandwidth(draws_j: np.ndarray) -> np.ndarray:
 
 
 def consensus_kde(draws, bandwidth=None, n_out: int = 1000,
-                  rng: Optional[np.random.Generator] = None,
-                  sweeps_per_sample: int = 1, return_indices: bool = False):
+                  rng: Optional[np.random.Generator] = None, return_indices: bool = False):
     """Sample the product of J Gaussian KDEs by component-index Gibbs.
 
     The product mixture has T^J components indexed by (t_1..t_J); each
@@ -200,22 +199,21 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000,
     out = np.empty((n_out, d))
     visited = np.empty((n_out, J), dtype=int)
     for s in range(n_out):
-        for _ in range(sweeps_per_sample):
-            for j in range(J):
-                others = np.delete(np.arange(J), j)
-                sum_others = arr[others, idx[others], :].sum(axis=0)
-                x = arr[j]  # (T, d) candidate atoms
-                # weight of candidate t: exp{-[(1-1/J) x_t^2 - (2/J) x_t . S] / (2h^2)}
-                quad = (1.0 - 1.0 / J) * x**2 - (2.0 / J) * x * sum_others[None, :]
-                logw = -0.5 * (quad * inv_h2[None, :]).sum(axis=1)
-                logw -= logw.max()
-                w = np.exp(logw)
-                tot = w.sum()
-                if not np.isfinite(tot) or tot <= 0:
-                    raise FloatingPointError(
-                        "all KDE component weights underflowed; increase the bandwidth h"
-                    )
-                idx[j] = rng.choice(T, p=w / tot)
+        for j in range(J):
+            others = np.delete(np.arange(J), j)
+            sum_others = arr[others, idx[others], :].sum(axis=0)
+            x = arr[j]  # (T, d) candidate atoms
+            # weight of candidate t: exp{-[(1-1/J) x_t^2 - (2/J) x_t . S] / (2h^2)}
+            quad = (1.0 - 1.0 / J) * x**2 - (2.0 / J) * x * sum_others[None, :]
+            logw = -0.5 * (quad * inv_h2[None, :]).sum(axis=1)
+            logw -= logw.max()
+            w = np.exp(logw)
+            tot = w.sum()
+            if not np.isfinite(tot) or tot <= 0:
+                raise FloatingPointError(
+                    "all KDE component weights underflowed; increase the bandwidth h"
+                )
+            idx[j] = rng.choice(T, p=w / tot)
         visited[s] = idx
         centers = arr[np.arange(J), idx, :]
         # degenerate product: even the selected component's weight underflows

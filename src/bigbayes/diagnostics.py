@@ -11,7 +11,7 @@ All functions are pure: same input, same output, bit-exact.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -70,18 +70,16 @@ def n_eff(chains):
     return (cap, True) if val > cap else (float(val), False)
 
 
-def asymptotic_variance(samples, f: Callable = None, max_lag: Optional[int] = None) -> float:
-    """MCMC CLT variance: Var[f] + 2 * sum of autocovariances.
+def asymptotic_variance(samples) -> float:
+    """MCMC CLT variance: Var[x] + 2 * sum of autocovariances.
 
     The sum is truncated at the first negative even-pair sum (initial
-    positive sequence rule). The caller supplies a stationary segment.
+    positive sequence rule). The caller supplies a stationary segment of
+    scalar samples.
     """
     x = np.asarray(samples, dtype=float)
-    if f is not None:
-        x = np.array([f(v) for v in x], dtype=float)
     n = x.size
     x = x - x.mean()
-    L = n - 1 if max_lag is None else min(max_lag, n - 1)
     c0 = float(x @ x) / n
     if c0 == 0.0:
         return 0.0
@@ -89,7 +87,7 @@ def asymptotic_variance(samples, f: Callable = None, max_lag: Optional[int] = No
     # truncated at the first nonpositive pair
     acc = -c0
     t = 0
-    while t + 1 <= L:
+    while t + 1 < n:
         pair = (c0 if t == 0 else _autocov(x, t)) + _autocov(x, t + 1)
         if pair <= 0.0:
             break
@@ -103,17 +101,27 @@ def _autocov(centered, lag):
     return float(centered[:-lag] @ centered[lag:]) / n
 
 
-def mcmc_se(samples, f: Callable = None) -> float:
+def mcmc_se(samples) -> float:
     """Standard error of the sample mean, accounting for autocorrelation."""
     x = np.asarray(samples, dtype=float)
-    if f is not None:
-        x = np.array([f(v) for v in x], dtype=float)
     return math.sqrt(max(asymptotic_variance(x), 0.0) / x.size)
 
 
 # ---------------------------------------------------------------------------
 # Transient bias vs Monte Carlo standard error
 # ---------------------------------------------------------------------------
+
+def _burn_in_window(policy: str, n: int) -> slice:
+    """The draws of the first n that a burn-in policy averages: "all" of
+    them, the "last_half" (last ceil(n/2)) or the "last_one"."""
+    if policy == "all":
+        return slice(0, n)
+    if policy == "last_half":
+        return slice(n - math.ceil(n / 2), n)
+    if policy == "last_one":
+        return slice(n - 1, n)
+    raise ValueError(f"unknown policy {policy!r}")
+
 
 @dataclass
 class ErrorCurves:
@@ -145,14 +153,7 @@ def error_decomposition_experiment(step_chains: Callable, truth: float,
     for policy in policies:
         b, m = [], []
         for n in ns:
-            if policy == "all":
-                est = history[:n].mean(axis=0)
-            elif policy == "last_half":
-                est = history[n - math.ceil(n / 2):n].mean(axis=0)
-            elif policy == "last_one":
-                est = history[n - 1]
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
+            est = history[_burn_in_window(policy, n)].mean(axis=0)
             b.append(abs(est.mean() - truth))
             m.append(est.std(ddof=1))
         bias[policy] = np.array(b)

@@ -145,14 +145,16 @@ def _check_bound(log_l, log_b):
 
 def brightness_prob(n: int, theta, target: FactoredTarget, bound: LikelihoodBound) -> float:
     """P(z_n = 1 | theta) = (L_n - B_n)/L_n, clipped to [0, 1]."""
-    return float(_brightness_probs(np.array([n]), np.asarray(theta, float), target, bound)[0])
+    probs, _, _ = _brightness_probs(np.array([n]), np.asarray(theta, float), target, bound)
+    return float(probs[0])
 
 
 def _brightness_probs(idx, theta, target, bound):
+    """(P(z = 1 | theta), log L, log B) at the terms ``idx``."""
     log_l = target.log_lik_terms(idx, theta)
     log_b = bound.log_bound_batch(idx, theta)
     _check_bound(log_l, log_b)
-    return np.clip(-np.expm1(np.minimum(log_b - log_l, 0.0)), 0.0, 1.0)
+    return np.clip(-np.expm1(np.minimum(log_b - log_l, 0.0)), 0.0, 1.0), log_l, log_b
 
 
 def init_firefly(target, bound, theta0, rng: np.random.Generator,
@@ -162,7 +164,7 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
     if init == "dark":
         z = np.zeros(N, dtype=bool)
     elif init == "sample":
-        probs = _brightness_probs(range(N), theta0, target, bound)
+        probs = _brightness_probs(range(N), theta0, target, bound)[0]
         z = rng.random(N) < probs
     else:
         raise ValueError(f"unknown init {init!r}")
@@ -198,10 +200,7 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     k = math.ceil(rho_z * N)
     idx = rng.choice(N, size=k, replace=False)
     theta = state.theta
-    log_l = target.log_lik_terms(idx, theta)
-    log_b = bound.log_bound_batch(idx, theta)
-    _check_bound(log_l, log_b)
-    probs = np.clip(-np.expm1(np.minimum(log_b - log_l, 0.0)), 0.0, 1.0)
+    probs, log_l, log_b = _brightness_probs(idx, theta, target, bound)
     new_z = rng.random(k) < probs
 
     z = state.z.copy()

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .consensus import ShardPlan, _as_range
+from .diagnostics import _burn_in_window
 from .models import FactoredTarget
 from .rng import KeyedRng
 
@@ -228,15 +229,7 @@ def mc_estimate(buffer, f: Callable, policy: str = "last_half") -> float:
     T = len(draws)
     if T == 0:
         raise ValueError("empty sample buffer")
-    if policy == "all":
-        sel = draws
-    elif policy == "last_half":
-        sel = draws[T - math.ceil(T / 2):]
-    elif policy == "last_one":
-        sel = draws[-1:]
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    return float(np.mean([f(th) for th in sel]))
+    return float(np.mean([f(th) for th in draws[_burn_in_window(policy, T)]]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +310,23 @@ def _tree_reduce(values):
     return vals[0]
 
 
-def parallel_log_lik(target: FactoredTarget, theta, shards, cluster=None) -> float:
-    """Full-data log likelihood via per-shard partial sums.
+def parallel_log_lik(target: FactoredTarget, theta, plan: ShardPlan, cluster=None) -> float:
+    """Full-data log likelihood via per-shard partial sums over ``plan``.
 
-    Partials are combined in a fixed binary tree over shard order, so the
-    result is bit-identical whether partials are computed serially or by
-    simulated workers. With ``cluster`` supplied, each shard is evaluated on
-    a worker by ``SimCluster.map_on_workers`` (charging one work unit per
-    likelihood term) and the partials are gathered to the master before the
-    same fixed reduction. A contiguous shard is passed to
-    ``target.log_lik_terms`` as a range, which the shipped models read as
-    a view of the data.
+    ``plan`` checked its partition when it was built, so here it is only
+    checked to cover ``target``'s N terms. Partials are combined in a fixed
+    binary tree over shard order, so the result is bit-identical whether
+    partials are computed serially or by simulated workers. With
+    ``cluster`` supplied, each shard is evaluated on a worker by
+    ``SimCluster.map_on_workers`` (charging one work unit per likelihood
+    term) and the partials are gathered to the master before the same fixed
+    reduction. A contiguous shard is passed to ``target.log_lik_terms`` as a
+    range, which the shipped models read as a view of the data.
     """
+    if plan.n_data != target.n_data:
+        raise ValueError(f"plan covers {plan.n_data} terms but the target has {target.n_data}")
     theta = np.asarray(theta, dtype=float)
-    shards = [_as_range(s) for s in ShardPlan(target.n_data, tuple(shards)).shards]
+    shards = [_as_range(s) for s in plan.shards]
 
     def shard_partial(idx):
         if len(idx) == 0:

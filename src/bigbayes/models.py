@@ -1,37 +1,25 @@
 """Probabilistic model abstractions.
 
-Factored posteriors (prior plus per-datum likelihood terms), exponential
-families with conjugate updating, and the analytic Gaussian prior/shard
-model whose closed-form posterior and subposteriors serve as the oracle for
-every sampler in the package.
+Factored posteriors (prior plus per-datum likelihood terms) and the
+analytic Gaussian prior/shard model whose closed-form posterior and
+subposteriors serve as the oracle for every sampler in the package.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "ExpFamSpec",
-    "ConjugatePair",
     "FactoredTarget",
     "GaussianModelSpec",
-    "expfam_mean",
-    "expfam_score_fisher",
-    "conjugate_posterior_update",
     "gaussian_posterior",
     "gaussian_subposterior",
-    "bernoulli_family",
-    "gaussian_fixed_var_family",
-    "poisson_family",
-    "beta_bernoulli_pair",
-    "gaussian_mean_pair",
     "gaussian_mean_target",
     "gaussian_iid_target",
     "gaussian_iid_posterior",
     "logistic_regression_target",
     "finite_difference_gradient",
-    "finite_difference_hessian",
 ]
 
 FD_REL_STEP = 1e-6
@@ -50,207 +38,8 @@ def finite_difference_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def finite_difference_hessian(f: Callable, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    H = np.empty((n, n))
-    steps = FD_REL_STEP ** 0.5 * (1.0 + np.abs(x))
-    for i in range(n):
-        for j in range(i, n):
-            hi, hj = steps[i], steps[j]
-            xpp, xpm, xmp, xmm = (x.copy() for _ in range(4))
-            xpp[i] += hi; xpp[j] += hj
-            xpm[i] += hi; xpm[j] -= hj
-            xmp[i] -= hi; xmp[j] += hj
-            xmm[i] -= hi; xmm[j] -= hj
-            H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4 * hi * hj)
-    return H
-
-
-# ---------------------------------------------------------------------------
-# Exponential families
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpFamSpec:
-    """An exponential family in natural coordinates.
-
-    ``statistic`` maps a point to its statistic vector, ``log_partition``
-    maps a natural parameter to the log normalizer, and ``support_check``
-    delimits the natural parameter domain. ``base_measure_desc`` documents
-    the base density; it never enters any computation. Closed-form
-    ``mean_map``/``fisher`` and a ``sampler`` are optional accelerators; the
-    generic path falls back to finite differences of ``log_partition``.
-    """
-
-    stat_dim: int
-    statistic: Callable[[np.ndarray], np.ndarray]
-    log_partition: Callable[[np.ndarray], float]
-    base_measure_desc: str
-    support_check: Callable[[np.ndarray], bool]
-    mean_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fisher: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sampler: Optional[Callable[[np.ndarray, int, np.random.Generator], np.ndarray]] = None
-
-    def require_in_domain(self, eta):
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if eta.shape != (self.stat_dim,):
-            raise ValueError(f"natural parameter must have shape ({self.stat_dim},)")
-        if not self.support_check(eta):
-            raise ValueError(f"natural parameter {eta} outside family domain")
-        return eta
-
-
-def expfam_mean(spec: ExpFamSpec, eta) -> np.ndarray:
-    """Mean mapping: gradient of the log partition equals E[t(X)]."""
-    eta = spec.require_in_domain(eta)
-    if spec.mean_map is not None:
-        return np.atleast_1d(np.asarray(spec.mean_map(eta), dtype=float))
-    return finite_difference_gradient(spec.log_partition, eta)
-
-
-def expfam_score_fisher(spec: ExpFamSpec, eta, x):
-    """Score t(x) - E[t(X)] and Fisher information (Hessian of log Z)."""
-    eta = spec.require_in_domain(eta)
-    score = np.atleast_1d(np.asarray(spec.statistic(x), dtype=float)) - expfam_mean(spec, eta)
-    if spec.fisher is not None:
-        fisher = np.atleast_2d(np.asarray(spec.fisher(eta), dtype=float))
-    else:
-        fisher = finite_difference_hessian(spec.log_partition, eta)
-    fisher = 0.5 * (fisher + fisher.T)
-    return score, fisher
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """Conjugate prior family plus likelihood statistic.
-
-    Observing x appends ``(t_X(x), 1)`` to the prior natural parameter, so
-    batch and sequential updating agree exactly.
-    """
-
-    prior: ExpFamSpec
-    likelihood_stat: Callable[[np.ndarray], np.ndarray]
-
-    def obs_increment(self, x) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(self.likelihood_stat(x), dtype=float))
-        return np.concatenate([t, [1.0]])
-
-
-def conjugate_posterior_update(pair: ConjugatePair, eta, data: Sequence) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float).copy()
-    for x in data:
-        eta = eta + pair.obs_increment(x)
-    return eta
-
-
-# -- standard families -------------------------------------------------------
-
-def bernoulli_family() -> ExpFamSpec:
-    return ExpFamSpec(
-        stat_dim=1,
-        statistic=lambda x: np.array([float(x)]),
-        log_partition=lambda eta: float(np.logaddexp(0.0, eta[0])),
-        base_measure_desc="counting measure on {0,1}, h(x)=1",
-        support_check=lambda eta: np.all(np.isfinite(eta)),
-        mean_map=lambda eta: np.array([1.0 / (1.0 + np.exp(-eta[0]))]),
-        fisher=lambda eta: np.array([[_sigmoid(eta[0]) * (1 - _sigmoid(eta[0]))]]),
-        sampler=lambda eta, size, rng: (rng.random(size) < _sigmoid(eta[0])).astype(float),
-    )
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def gaussian_fixed_var_family() -> ExpFamSpec:
-    """Gaussian with statistic (x, x^2); unit variance lives at eta = (mu, -1/2)."""
-
-    def log_partition(eta):
-        return float(-eta[0] ** 2 / (4.0 * eta[1]) - 0.5 * np.log(-2.0 * eta[1]))
-
-    def mean_map(eta):
-        mu = -eta[0] / (2.0 * eta[1])
-        var = -1.0 / (2.0 * eta[1])
-        return np.array([mu, mu ** 2 + var])
-
-    def sampler(eta, size, rng):
-        mu = -eta[0] / (2.0 * eta[1])
-        sd = np.sqrt(-1.0 / (2.0 * eta[1]))
-        x = rng.normal(mu, sd, size)
-        return np.column_stack([x, x ** 2])
-
-    return ExpFamSpec(
-        stat_dim=2,
-        statistic=lambda x: np.array([float(x), float(x) ** 2]),
-        log_partition=log_partition,
-        base_measure_desc="Lebesgue on R, h(x)=1/sqrt(2 pi)",
-        support_check=lambda eta: bool(np.isfinite(eta).all() and eta[1] < 0),
-        mean_map=mean_map,
-        sampler=sampler,
-    )
-
-
-def poisson_family() -> ExpFamSpec:
-    return ExpFamSpec(
-        stat_dim=1,
-        statistic=lambda x: np.array([float(x)]),
-        log_partition=lambda eta: float(np.exp(eta[0])),
-        base_measure_desc="counting measure on N, h(x)=1/x!",
-        support_check=lambda eta: np.all(np.isfinite(eta)),
-        mean_map=lambda eta: np.array([np.exp(eta[0])]),
-        fisher=lambda eta: np.array([[np.exp(eta[0])]]),
-        sampler=lambda eta, size, rng: rng.poisson(np.exp(eta[0]), size).astype(float),
-    )
-
-
-def beta_bernoulli_pair() -> ConjugatePair:
-    """Beta prior on a Bernoulli success probability.
-
-    Prior coordinates are offsets from Beta(1,1): eta = (a-1, a+b-2), so the
-    zero vector is the uniform prior and each observation adds (x, 1).
-    """
-
-    def log_partition(eta):
-        a, b = eta[0] + 1.0, eta[1] - eta[0] + 1.0
-        return float(_log_beta(a, b))
-
-    prior = ExpFamSpec(
-        stat_dim=2,
-        statistic=lambda th: np.array([np.log(th / (1 - th)), np.log(1 - th)]),
-        log_partition=log_partition,
-        base_measure_desc="Lebesgue on (0,1), h=1",
-        support_check=lambda eta: bool(eta[0] > -1 and eta[1] - eta[0] > -1),
-        sampler=lambda eta, size, rng: rng.beta(eta[0] + 1.0, eta[1] - eta[0] + 1.0, size),
-    )
-    return ConjugatePair(prior=prior, likelihood_stat=lambda x: np.array([float(x)]))
-
-
-def _log_beta(a, b):
-    from math import lgamma
-
-    return lgamma(a) + lgamma(b) - lgamma(a + b)
-
-
-def gaussian_mean_pair() -> ConjugatePair:
-    """Gaussian prior on the mean of a unit-variance Gaussian likelihood.
-
-    Prior natural coordinates eta = (precision * mean, precision); each unit
-    variance observation adds (x, 1).
-    """
-
-    prior = ExpFamSpec(
-        stat_dim=2,
-        statistic=lambda th: np.array([float(th), -float(th) ** 2 / 2.0]),
-        log_partition=lambda eta: float(eta[0] ** 2 / (2 * eta[1]) - 0.5 * np.log(eta[1])),
-        base_measure_desc="Lebesgue on R, h=1/sqrt(2 pi)",
-        support_check=lambda eta: bool(np.isfinite(eta).all() and eta[1] > 0),
-        mean_map=lambda eta: np.array(
-            [eta[0] / eta[1], -(1.0 / eta[1] + (eta[0] / eta[1]) ** 2) / 2.0]
-        ),
-        sampler=lambda eta, size, rng: rng.normal(eta[0] / eta[1], eta[1] ** -0.5, size),
-    )
-    return ConjugatePair(prior=prior, likelihood_stat=lambda x: np.array([float(x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +322,9 @@ def gaussian_posterior(spec: GaussianModelSpec):
     return cov @ rhs, cov
 
 
-def gaussian_subposterior(spec: GaussianModelSpec, j: int, n_shards: Optional[int] = None):
+def gaussian_subposterior(spec: GaussianModelSpec, j: int):
     """Subposterior (mu_j~, Sigma_j~) with the prior downweighted by 1/J."""
-    J = spec.n_shards if n_shards is None else n_shards
+    J = spec.n_shards
     if not 1 <= j + 1 <= J:
         raise ValueError(f"shard index {j} outside 0..{J - 1}")
     pj = _inv(spec.shard_covs[j], f"shard {j}")

@@ -298,7 +298,6 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
         "supersteps": supersteps,
         "steps_per_superstep": T / supersteps if supersteps else float("nan"),
         "evals": evals,
-        "serial_work": (T + 1) * eval_cost,
         "makespan": cluster.makespan(),
         "speedup": (T + 1) * eval_cost / cluster.makespan() if cluster.makespan() else float("nan"),
         "cluster": cluster,

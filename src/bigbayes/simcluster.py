@@ -12,13 +12,14 @@ Every master/worker fan-out in the package goes through one protocol,
 ``(value, work_units)``; the master sends it to worker ``i % K`` as a
 message of type ``tag``; the worker calls it, is charged ``work_units``, and
 then replies to the master as ``tag + "-result"``. No other module sends work
-messages or defines handlers for them.
+messages or defines handlers for them. A bulk-synchronous barrier is
+``align_clocks``, which ``prefetch`` calls after each superstep's fan-out.
 """
 
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from .rng import KeyedRng
 
@@ -27,8 +28,6 @@ __all__ = [
     "SimCluster",
     "SimTimeoutError",
     "UnhandledMessageError",
-    "bsp_superstep",
-    "threaded_bsp_superstep",
 ]
 
 MASTER = "master"
@@ -62,13 +61,11 @@ class Message:
 class SimCluster:
     """K workers plus a master node exchanging timestamped messages."""
 
-    def __init__(self, n_workers: int, seed: int = 0, msg_latency: float = 1.0,
-                 work_unit: float = 1.0):
+    def __init__(self, n_workers: int, seed: int = 0, msg_latency: float = 1.0):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.n_workers = n_workers
         self.msg_latency = float(msg_latency)
-        self.work_unit = float(work_unit)
         self.clocks: Dict[Any, float] = {MASTER: 0.0, **{k: 0.0 for k in range(n_workers)}}
         self._rng = KeyedRng(seed).child("cluster")
         self._queue = []
@@ -90,14 +87,13 @@ class SimCluster:
         """Advance a node's clock by computation cost."""
         if units < 0:
             raise ValueError("work must be nonnegative")
-        self.clocks[node] += units * self.work_unit
-        self.total_charged += units * self.work_unit
+        self.clocks[node] += units
+        self.total_charged += units
 
-    def send(self, src, dst, type: str, payload=None, latency: Optional[float] = None):
-        lat = self.msg_latency if latency is None else float(latency)
+    def send(self, src, dst, type: str, payload=None):
         t = self.clocks[src]
         msg = Message(src=src, dst=dst, type=type, payload=payload,
-                      send_time=t, deliver_time=t + lat, seq=self._seq)
+                      send_time=t, deliver_time=t + self.msg_latency, seq=self._seq)
         self._seq += 1
         heapq.heappush(self._queue, (msg.deliver_time, msg.seq, msg))
         return msg
@@ -175,37 +171,3 @@ class SimCluster:
         self.run_until_quiescent({tag: on_task, f"{tag}-result": on_result})
         return results
 
-
-def bsp_superstep(cluster: SimCluster, state, local_work, merge, tag: str = "bsp"):
-    """One bulk-synchronous superstep.
-
-    Every worker runs ``local_work(k, snapshot)`` against the same
-    pre-superstep snapshot and returns ``(update, work_units)``; ``merge``
-    folds the updates into the next global state after the barrier. No
-    worker ever observes another's same-superstep writes.
-    """
-    updates = []
-    for k in range(cluster.n_workers):
-        update, units = local_work(k, state)
-        cluster.charge(k, units)
-        updates.append(update)
-    # barrier: gather to master, broadcast back
-    for k in range(cluster.n_workers):
-        cluster.send(k, MASTER, f"{tag}-sync", None)
-    cluster.run_until_quiescent({f"{tag}-sync": lambda c, m: None})
-    cluster.align_clocks()
-    for k in range(cluster.n_workers):
-        cluster.send(MASTER, k, f"{tag}-release", None)
-    cluster.run_until_quiescent({f"{tag}-release": lambda c, m: None})
-    return merge(state, updates)
-
-
-def threaded_bsp_superstep(state, local_work, merge, n_workers: int):
-    """Real-thread executor for BSP workloads; must agree with the simulator
-    for pure ``local_work``. Used in stress tests only."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futs = [pool.submit(local_work, k, state) for k in range(n_workers)]
-        updates = [f.result()[0] for f in futs]
-    return merge(state, updates)

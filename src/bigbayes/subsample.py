@@ -33,6 +33,9 @@ __all__ = [
     "pilot_c_bound",
 ]
 
+PILOT_SIZE = 1000
+PILOT_SAFETY = 1.5
+
 
 @dataclass
 class LLRAccumulator:
@@ -170,15 +173,15 @@ def concentration_should_stop(acc: LLRAccumulator, psi: float, N: int,
 
 
 def pilot_c_bound(target: FactoredTarget, theta, theta_new,
-                  rng: np.random.Generator, pilot: int = 1000,
-                  safety: float = 1.5) -> float:
-    """Estimate C = max |l_n| from a pilot subsample, times a safety factor."""
-    n = min(pilot, target.n_data)
+                  rng: np.random.Generator) -> float:
+    """Estimate C = max |l_n| from a pilot subsample of ``PILOT_SIZE`` terms,
+    times ``PILOT_SAFETY``."""
+    n = min(PILOT_SIZE, target.n_data)
     idx = rng.choice(target.n_data, size=n, replace=False)
     ell = target.log_lik_terms(idx, np.asarray(theta_new, float)) - target.log_lik_terms(
         idx, np.asarray(theta, float)
     )
-    return safety * float(np.max(np.abs(ell))) + 1e-12
+    return PILOT_SAFETY * float(np.max(np.abs(ell))) + 1e-12
 
 
 def _resolve_c(cfg: StopRuleConfig, target, theta, theta_new, rng) -> float:

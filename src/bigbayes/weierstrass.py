@@ -51,12 +51,13 @@ def theta_update(state: WeierstrassState, rng: np.random.Generator) -> np.ndarra
 
 
 def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
-              rng: np.random.Generator, proposal_scale: Optional[float] = None):
+              rng: np.random.Generator):
     """Advance xi_j targeting N(xi; theta, h^2) f_j(xi).
 
     ``subposterior`` is either a tuple (mu, cov) of an analytic Gaussian
     f_j, in which case the conditional is drawn exactly, or a callable
-    log f_j(xi) advanced by ``inner_steps`` random-walk MH steps.
+    log f_j(xi) advanced by ``inner_steps`` random-walk MH steps of scale
+    min(h).
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -71,8 +72,7 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
         return rng.multivariate_normal(cond_mu, cond_cov, method="cholesky")
     log_f = subposterior
     xi = state.xi[j].copy()
-    walk = gaussian_random_walk(proposal_scale if proposal_scale is not None
-                                else float(np.min(h)))
+    walk = gaussian_random_walk(float(np.min(h)))
 
     def log_target(x):
         return float(log_f(x)) - 0.5 * float(np.sum((x - theta) ** 2 / h**2))

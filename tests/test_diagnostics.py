@@ -9,6 +9,7 @@ from bigbayes.diagnostics import (
     rhat,
     write_error_curves_csv,
 )
+from bigbayes.mcmc import mc_estimate
 
 
 def test_rhat_hand_example():
@@ -157,3 +158,20 @@ def test_error_decomposition_curves(tmp_path):
     write_error_curves_csv(curves, out)
     header = out.read_text().splitlines()[0]
     assert header == "n,policy,bias_abs,mcse,total_rmse"
+
+
+def test_burn_in_policies_match_mc_estimate_per_run():
+    s_runs, T = 5, 40
+    history = np.random.default_rng(4).standard_normal((T, s_runs))
+    curves = error_decomposition_experiment(lambda t: history[t], truth=0.0, s_runs=s_runs,
+                                            T=T, policies=("all", "last_half", "last_one"))
+    for policy in curves.policies:
+        for i, n in enumerate(curves.ns):
+            est = np.array([mc_estimate(history[:n, s:s + 1], lambda th: th[0], policy)
+                            for s in range(s_runs)])
+            assert curves.bias_abs[policy][i] == pytest.approx(abs(est.mean()), abs=1e-12)
+            assert curves.mcse[policy][i] == pytest.approx(est.std(ddof=1))
+    with pytest.raises(ValueError, match="unknown policy 'first'"):
+        mc_estimate(history, lambda th: th[0], "first")
+    with pytest.raises(ValueError, match="unknown policy 'first'"):
+        error_decomposition_experiment(lambda t: history[t], 0.0, s_runs, T, policies=("first",))

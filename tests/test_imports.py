@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name it exports is defined or imported in it."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,33 @@ def test_checker_finds_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], f"{path.name} imports names it never uses"
+
+
+def stale_exports(source: str):
+    """Names in ``__all__`` that no top-level statement of ``source`` binds."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_export_checker_finds_stale_and_accepts_bound():
+    src = ("import math\nfrom .x import y as z\n__all__ = ['math', 'z', 'f', 'C', 'K', 'gone']\n"
+           "K = 1\ndef f():\n    gone = 2\nclass C:\n    pass\n")
+    assert stale_exports(src) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert stale_exports(path.read_text()) == [], f"{path.name} exports names it never defines"

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bigbayes.consensus import ShardPlan
 from bigbayes.firefly import run_flymc, scaled_gaussian_bound
 from bigbayes.mcmc import (
     ChainState,
@@ -389,15 +390,15 @@ def make_target(n=20):
 def test_single_shard_equals_serial_sum():
     t = make_target()
     th = np.array([0.3])
-    assert parallel_log_lik(t, th, [np.arange(20)]) == t.log_likelihood(th)
+    assert parallel_log_lik(t, th, ShardPlan(20, (np.arange(20),))) == t.log_likelihood(th)
 
 
 def test_four_shards_bit_exact_fixed_tree():
     t = make_target()
     th = np.array([-0.7])
-    shards = np.array_split(np.arange(20), 4)
-    got = parallel_log_lik(t, th, shards)
-    partials = [float(np.sum(t.log_lik_terms(s, th))) for s in shards]
+    plan = ShardPlan.contiguous(20, 4)
+    got = parallel_log_lik(t, th, plan)
+    partials = [float(np.sum(t.log_lik_terms(s, th))) for s in plan.shards]
     expected = (partials[0] + partials[1]) + (partials[2] + partials[3])
     assert got == expected
 
@@ -405,16 +406,16 @@ def test_four_shards_bit_exact_fixed_tree():
 def test_empty_shard_contributes_zero():
     t = make_target()
     th = np.array([0.1])
-    shards = [np.arange(20), np.array([], dtype=int)]
-    assert parallel_log_lik(t, th, shards) == t.log_likelihood(th)
+    plan = ShardPlan(20, (np.arange(20), np.array([], dtype=int)))
+    assert parallel_log_lik(t, th, plan) == t.log_likelihood(th)
 
 
 def test_non_partition_rejected():
     t = make_target()
+    with pytest.raises(ValueError, match="10 terms.* 20"):
+        parallel_log_lik(t, np.zeros(1), ShardPlan(10, (np.arange(10),)))
     with pytest.raises(ValueError):
-        parallel_log_lik(t, np.zeros(1), [np.arange(10)])
-    with pytest.raises(ValueError):
-        parallel_log_lik(t, np.zeros(1), [np.arange(20), np.array([0])])
+        parallel_log_lik(t, np.zeros(1), ShardPlan(20, (np.arange(20), np.array([0]))))
 
 
 # -- zero-length runs -------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bigbayes.consensus import ShardPlan
 from bigbayes.mcmc import parallel_log_lik
 from bigbayes.models import FactoredTarget
 from bigbayes.simcluster import (
@@ -11,8 +12,6 @@ from bigbayes.simcluster import (
     SimCluster,
     SimTimeoutError,
     UnhandledMessageError,
-    bsp_superstep,
-    threaded_bsp_superstep,
 )
 
 
@@ -134,78 +133,6 @@ def test_trace_jsonl_schema():
     assert set(line) == {"time", "src", "dst", "type"}
 
 
-# -- BSP -----------------------------------------------------------------------
-
-def test_bsp_single_worker_matches_serial():
-    c = SimCluster(1)
-
-    def local(k, state):
-        return state["x"] + 1, 1.0
-
-    def merge(state, updates):
-        return {"x": updates[0]}
-
-    state = {"x": 0}
-    for _ in range(5):
-        state = bsp_superstep(c, state, local, merge)
-    assert state["x"] == 5
-
-
-def test_bsp_disjoint_writes_union():
-    c = SimCluster(4)
-
-    def local(k, state):
-        return {f"key{k}": k * 10}, 1.0
-
-    def merge(state, updates):
-        out = dict(state)
-        for u in updates:
-            out.update(u)
-        return out
-
-    state = bsp_superstep(c, {}, local, merge)
-    assert state == {f"key{k}": k * 10 for k in range(4)}
-
-
-def test_bsp_snapshot_isolation_read_log():
-    c = SimCluster(2)
-    reads = []
-
-    def local(k, state):
-        other = 1 - k
-        reads.append((k, state[f"v{other}"]))  # mid-superstep neighbour read
-        return {f"v{k}": state[f"v{k}"] + 100}, 1.0
-
-    def merge(state, updates):
-        out = dict(state)
-        for u in updates:
-            out.update(u)
-        return out
-
-    state = {"v0": 1, "v1": 2}
-    new_state = bsp_superstep(c, state, local, merge)
-    assert new_state == {"v0": 101, "v1": 102}
-    assert sorted(reads) == [(0, 2), (1, 1)]  # pre-superstep values observed
-
-
-def test_threaded_bsp_matches_simulator():
-    def local(k, state):
-        return (k, sum(state) * (k + 1)), 1.0
-
-    def merge(state, updates):
-        out = list(state)
-        for k, v in sorted(updates):
-            out[k] = v
-        return tuple(out)
-
-    state = (1.0, 2.0, 3.0)
-    sim = bsp_superstep(SimCluster(3), state, local, merge)
-    thr = threaded_bsp_superstep(state, local, merge, 3)
-    for _ in range(3):
-        assert threaded_bsp_superstep(state, local, merge, 3) == sim
-    assert thr == sim
-
-
 # -- integration with parallel_log_lik -----------------------------------------
 
 def test_parallel_log_lik_on_cluster_bit_exact():
@@ -218,9 +145,9 @@ def test_parallel_log_lik_on_cluster_bit_exact():
     target = FactoredTarget(dim=1, n_data=32, log_prior=lambda th: 0.0,
                             log_lik_terms=terms)
     th = np.array([0.4])
-    shards = np.array_split(np.arange(32), 4)
-    serial = parallel_log_lik(target, th, shards)
+    plan = ShardPlan.contiguous(32, 4)
+    serial = parallel_log_lik(target, th, plan)
     cluster = SimCluster(4, seed=9)
-    on_cluster = parallel_log_lik(target, th, shards, cluster=cluster)
+    on_cluster = parallel_log_lik(target, th, plan, cluster=cluster)
     assert on_cluster == serial
     assert cluster.message_counts("loglik-shard") > 0

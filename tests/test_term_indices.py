@@ -139,11 +139,11 @@ def test_contiguous_shards_reach_the_base_kernel_as_ranges():
     assert seen[0] == range(4, 7)
     assert np.array_equal(seen[1], [4, 6])
     seen.clear()
-    parallel_log_lik(target, th, ShardPlan.contiguous(10, 3).shards)
+    parallel_log_lik(target, th, ShardPlan.contiguous(10, 3))
     assert seen == [range(0, 4), range(4, 7), range(7, 10)]
     seen.clear()
     interleaved = ShardPlan(10, (np.arange(0, 10, 2), np.arange(1, 10, 2)))
     subposterior_target(target, interleaved, 1).log_likelihood(th)
-    parallel_log_lik(target, th, interleaved.shards)
+    parallel_log_lik(target, th, interleaved)
     assert [type(s) for s in seen] == [np.ndarray] * 3
     assert np.array_equal(seen[0], np.arange(1, 10, 2))

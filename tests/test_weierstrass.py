@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bigbayes import weierstrass
 from bigbayes.diagnostics import mcmc_se
 from bigbayes.rng import KeyedRng
 from bigbayes.simcluster import MASTER, SimCluster
@@ -55,6 +56,38 @@ def test_sync_every_two_redraws_theta_on_odd_rounds_only():
 def test_sync_every_below_one_or_not_int_raises_naming_value(bad):
     with pytest.raises(ValueError, match=f"sync_every.*{bad!r}"):
         weierstrass_run(SUBS_1D, np.zeros(1), 0.5, 3, sync_every=bad, rng=KeyedRng(2))
+
+
+# -- snapshot isolation ---------------------------------------------------------
+
+@pytest.mark.parametrize("subs", [SUBS_1D, callable_subs()], ids=["analytic", "callable"])
+def test_xi_updates_of_a_round_see_the_previous_rounds_state(subs, monkeypatch):
+    J, T = len(subs), 6
+    calls = []   # (j, xi seen, theta seen, xi_j returned) in call order
+    real = weierstrass.xi_update
+
+    def spy(state, j, *args):
+        xi, theta = state.xi.copy(), state.theta.copy()
+        out = real(state, j, *args)
+        calls.append((j, xi, theta, out))
+        return out
+
+    monkeypatch.setattr(weierstrass, "xi_update", spy)
+    theta0 = np.array([0.25])
+    draws = weierstrass_run(subs, theta0, 0.5, T, rng=KeyedRng(4)).draws
+    assert len(calls) == J * T
+    xi_prev, theta_prev = np.tile(theta0, (J, 1)), theta0
+    for t in range(T):
+        this_round = calls[t * J:(t + 1) * J]
+        assert sorted(j for j, *_ in this_round) == list(range(J))
+        for _, xi, theta, _ in this_round:
+            assert np.array_equal(xi, xi_prev)
+            assert np.array_equal(theta, theta_prev)
+        xi_prev = np.empty_like(xi_prev)
+        for j, _, _, out in this_round:
+            xi_prev[j] = out
+        theta_prev = draws[t]
+    assert not np.array_equal(xi_prev, np.tile(theta0, (J, 1)))
 
 
 # -- callable path and cost ------------------------------------------------------
