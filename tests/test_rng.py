@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from bigbayes.rng import KeyedRng
+from bigbayes.rng import KeyedRng, _FoldedKey, _fold
 
 
 def test_same_key_same_stream():
@@ -46,3 +47,100 @@ def test_rejects_bad_key_part():
         pass
     else:
         raise AssertionError("float key part should be rejected")
+
+
+# -- input checks: each bad value is rejected up front and named -------------
+
+
+def test_rejects_float_seed():
+    with pytest.raises(TypeError, match=r"seed must be an int, got 1\.5 \(float\)"):
+        KeyedRng(1.5)
+
+
+def test_rejects_str_seed():
+    with pytest.raises(TypeError, match=r"got '7' \(str\)"):
+        KeyedRng("7")
+
+
+def test_rejects_seed_outside_int128():
+    with pytest.raises(ValueError, match=str(2**200)):
+        KeyedRng(2**200)
+    with pytest.raises(ValueError, match=str(2**127)):
+        KeyedRng(2**127)
+    for seed in (2**127 - 1, -(2**127), np.int64(-3), np.uint64(2**64 - 1)):
+        KeyedRng(seed).derive("x")
+    assert np.array_equal(KeyedRng(np.int32(5)).derive("x").random(3),
+                          KeyedRng(5).derive("x").random(3))
+
+
+def test_rejects_bool_seed():
+    with pytest.raises(TypeError, match=r"got True \(bool\)"):
+        KeyedRng(True)
+
+
+def test_child_rejects_float_key_part():
+    with pytest.raises(TypeError, match=r"got 3\.14 \(float\)"):
+        KeyedRng(0).child("worker", 3.14)
+
+
+def test_rejects_bool_key_part():
+    root = KeyedRng(0)
+    with pytest.raises(TypeError, match=r"got True \(bool\)"):
+        root.derive("s", True)
+    with pytest.raises(TypeError, match=r"got False \(bool\)"):
+        root.child(False)
+
+
+def test_rejects_key_part_outside_int128():
+    with pytest.raises(ValueError, match=str(2**127)):
+        KeyedRng(0).derive("step", 2**127)
+    with pytest.raises(ValueError, match=str(-(2**127) - 1)):
+        KeyedRng(0).child(-(2**127) - 1)
+
+
+# -- stream definition (version 2) -------------------------------------------
+
+
+@pytest.mark.parametrize("rng, base", [
+    (KeyedRng(11), ()),
+    (KeyedRng(11).child("cluster"), ("cluster",)),
+    (KeyedRng(-4).child("cluster").child("worker", 2), ("cluster", "worker", 2)),
+])
+def test_derive_is_philox_keyed_by_fold(rng, base):
+    key = ("xi", 7)
+    want = np.random.Generator(np.random.Philox(key=_fold(rng.seed, base + key)))
+    got = rng.derive(*key)
+    for part in ("key", "counter"):
+        assert np.array_equal(got.bit_generator.state["state"][part],
+                              want.bit_generator.state["state"][part])
+    assert np.array_equal(got.random(64), want.random(64))
+    assert np.array_equal(got.integers(0, 2**62, 9), want.integers(0, 2**62, 9))
+
+
+def test_stream_version_marker():
+    # Changing either value changes every keyed stream in the package: record
+    # the new stream version in the changelog when editing this test.
+    assert _fold(0, ("step", 0)) == 0xFE23A6A8C19C8F402D3CB4F8AA875795
+    assert KeyedRng(0).derive("step", 0).random(3).tolist() == [
+        0.46173068809396045, 0.9892051054187956, 0.45187399769381764]
+
+
+# -- live generators ----------------------------------------------------------
+
+
+def test_live_generators_are_independent():
+    rng = KeyedRng(21)
+    step, z = rng.derive("step", 3), rng.derive("z", 3)
+    assert step is not z and step.bit_generator is not z.bit_generator
+    interleaved_step, interleaved_z = [], []
+    for _ in range(50):
+        interleaved_step.append(step.standard_normal())
+        interleaved_z.append(z.random())
+    assert interleaved_step == rng.derive("step", 3).standard_normal(50).tolist()
+    assert interleaved_z == rng.derive("z", 3).random(50).tolist()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint64), (2, np.uint32), (1, np.uint64)])
+def test_folded_key_rejects_other_requests(n_words, dtype):
+    with pytest.raises(ValueError, match=rf"generate_state\({n_words}, "):
+        _FoldedKey(_fold(0, ())).generate_state(n_words, dtype)
