@@ -10,7 +10,6 @@ until the single aggregation step; on a ``SimCluster`` it is one
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -176,8 +175,8 @@ def scott_bandwidth(draws_j: np.ndarray) -> np.ndarray:
     return draws_j.std(axis=0, ddof=1) * T ** (-1.0 / (d + 4))
 
 
-def consensus_kde(draws, bandwidth=None, n_out: int = 1000,
-                  rng: Optional[np.random.Generator] = None, return_indices: bool = False):
+def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
+                  rng: np.random.Generator, return_indices: bool = False):
     """Sample the product of J Gaussian KDEs by component-index Gibbs.
 
     The product mixture has T^J components indexed by (t_1..t_J); each
@@ -186,7 +185,6 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000,
     """
     arr = _as_draws_array(draws)
     J, T, d = arr.shape
-    rng = np.random.default_rng() if rng is None else rng
     if bandwidth is None:
         h = np.mean([scott_bandwidth(arr[j]) for j in range(J)], axis=0)
     else:

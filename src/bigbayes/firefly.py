@@ -1,10 +1,12 @@
 """Firefly Monte Carlo: exact-posterior sampling that touches only bright data.
 
 Each datum carries a binary brightness indicator. Dark points contribute
-through a collapsible lower bound on their likelihood, summarized by a
-fixed-dimension aggregate statistic, so a step evaluates likelihood terms
-only for bright points and for the indicators being resampled. The theta
-marginal of the augmented chain is the exact posterior.
+through a collapsible lower bound on their likelihood, summarized by the sum
+of their sufficient statistics (``LikelihoodBound.dark_stat_sum``), one
+fixed-size vector kept incrementally as indicators flip, so a step
+evaluates likelihood terms only for bright points and for the indicators
+being resampled. The theta marginal of the augmented chain is the exact
+posterior.
 """
 
 import math
@@ -42,15 +44,15 @@ class BoundViolationError(RuntimeError):
 class LikelihoodBound:
     """Strictly positive lower bound B_n(theta) <= L_n(theta) with a collapse.
 
-    ``dark_stats`` maps term indices to per-datum statistic rows whose sum
-    lets ``collapsed_log_product`` evaluate sum(log B_n) over any dark set
-    without reading the data again. Term indices follow the
-    ``FactoredTarget`` contract: an integer array or a ``range``.
+    ``dark_stat_sum(idx)`` returns the sum over the terms ``idx`` of their
+    sufficient statistics, one fixed-size vector (zero for an empty
+    ``idx``), from which ``collapsed_log_product(theta, s)`` evaluates
+    sum(log B_n) over that set without reading the data again. Term indices
+    follow the ``FactoredTarget`` contract: an integer array or a ``range``.
     """
 
-    stat_dim: int
     log_bound_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dark_stats: Callable[[np.ndarray], np.ndarray]
+    dark_stat_sum: Callable[[np.ndarray], np.ndarray]
     collapsed_log_product: Callable[[np.ndarray, np.ndarray], float]
 
 
@@ -69,16 +71,16 @@ def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodB
         x = xs[_rows(idx, len(xs))]
         return -0.5 * (x - theta[0]) ** 2 / lik_var + const - delta
 
-    def dark_stats(idx):
+    def dark_stat_sum(idx):
         x = xs[_rows(idx, len(xs))]
-        return np.column_stack([np.ones_like(x), x, x**2])
+        return np.array([x.size, np.sum(x), np.sum(x**2)], dtype=float)
 
     def collapsed(theta, s):
         cnt, s1, s2 = s
         quad = s2 - 2.0 * theta[0] * s1 + cnt * theta[0] ** 2
         return float(-0.5 * quad / lik_var + cnt * (const - delta))
 
-    return LikelihoodBound(3, log_bound_batch, dark_stats, collapsed)
+    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed)
 
 
 def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
@@ -103,11 +105,12 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
         z = A[rows] @ theta
         return c[rows] + z / 2.0 - lam[rows] * z**2
 
-    def dark_stats(idx):
+    def dark_stat_sum(idx):
+        # sum of [c_n, a_n/2, lam_n a_n a_n^T] in closed form: no per-datum rows
         rows = _rows(idx, len(A))
         a = A[rows]
-        quad = lam[rows, None, None] * (a[:, :, None] * a[:, None, :])
-        return np.column_stack([c[rows], a / 2.0, quad.reshape(len(a), d * d)])
+        quad = (a * lam[rows, None]).T @ a
+        return np.concatenate([[np.sum(c[rows])], np.sum(a, axis=0) / 2.0, quad.ravel()])
 
     def collapsed(theta, s):
         const = s[0]
@@ -115,14 +118,14 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
         quad = s[1 + d:].reshape(d, d)
         return float(const + lin @ theta - theta @ quad @ theta)
 
-    return LikelihoodBound(1 + d + d * d, log_bound_batch, dark_stats, collapsed)
+    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed)
 
 
 @dataclass
 class FireflyState:
     theta: np.ndarray
     z: np.ndarray                      # (N,) bool, True = bright
-    dark_stat_sum: np.ndarray          # (stat_dim,)
+    dark_stat_sum: np.ndarray          # bound.dark_stat_sum of the dark points
     log_joint_aug: Optional[float] = None
 
     @property
@@ -168,8 +171,8 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
         z = rng.random(N) < probs
     else:
         raise ValueError(f"unknown init {init!r}")
-    stats = bound.dark_stats(range(N))
-    dark_sum = stats[~z].sum(axis=0) if N else np.zeros(bound.stat_dim)
+    # the full-data sum reads the data as views; the bright set is small
+    dark_sum = bound.dark_stat_sum(target.all_indices()) - bound.dark_stat_sum(np.flatnonzero(z))
     return FireflyState(theta=theta0.copy(), z=z, dark_stat_sum=dark_sum)
 
 
@@ -210,11 +213,9 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     lj = state.log_joint_aug
     if np.any(changed):
         ch_idx = idx[changed]
-        stats = bound.dark_stats(ch_idx)
         to_bright = new_z[changed]
-        # entering bright removes mass from the dark aggregate and vice versa
-        sign = np.where(to_bright, -1.0, 1.0)
-        stat_sum = stat_sum + (sign[:, None] * stats).sum(axis=0)
+        stat_sum = (stat_sum + bound.dark_stat_sum(ch_idx[~to_bright])
+                    - bound.dark_stat_sum(ch_idx[to_bright]))
         if lj is not None:
             contrib_bright = _log_diff(log_l[changed], log_b[changed])
             contrib_dark = log_b[changed]
@@ -281,9 +282,7 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
 
 def check_coherence(state: FireflyState, target, bound, atol: float = 1e-8):
     """Debug invariant: the dark aggregate equals a fresh sum over dark points."""
-    dark = np.flatnonzero(~state.z)
-    fresh = (bound.dark_stats(dark).sum(axis=0) if len(dark)
-             else np.zeros(bound.stat_dim))
+    fresh = bound.dark_stat_sum(np.flatnonzero(~state.z))
     if not np.allclose(fresh, state.dark_stat_sum, atol=atol, rtol=1e-8):
         raise AssertionError(
             f"dark statistic cache incoherent: {state.dark_stat_sum} vs {fresh}"

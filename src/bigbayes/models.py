@@ -26,16 +26,20 @@ FD_REL_STEP = 1e-6
 
 
 def finite_difference_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step 1e-6*(1+|x_i|)."""
+    """Central differences with per-coordinate step 1e-6*(1+|x_i|).
+
+    A scalar ``f`` gives the gradient, shape (d,); an array-valued ``f``
+    with m outputs gives one gradient row per output, shape (m, d).
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    cols = []
     for i in range(x.size):
         h = FD_REL_STEP * (1.0 + abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+        cols.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 def _sigmoid(z):
@@ -66,11 +70,14 @@ def _rows(idx, n: int):
 class FactoredTarget:
     """Posterior factored as a prior plus N per-datum log-likelihood terms.
 
-    ``log_lik_terms``/``grad_log_lik_terms`` evaluate a batch of term
-    indices at once; when absent they are synthesized from the per-term
-    callables, and missing gradients fall back to central finite
-    differences. Instances are immutable after construction and safe to
-    share across workers.
+    The likelihood is given only as batch kernels: ``log_lik_terms(idx,
+    theta)`` returns the m log-likelihood terms of a batch of m term
+    indices and ``grad_log_lik_terms(idx, theta)`` their (m, d) gradients.
+    A missing ``grad_log_prior`` or ``grad_log_lik_terms`` falls back to
+    central finite differences, the latter taken over the whole batch at
+    once (``finite_difference_gradient`` of the array-valued
+    ``log_lik_terms(idx, .)``). Instances are immutable after construction
+    and safe to share across workers.
 
     A batch of term indices is an integer array or a ``range``, and every
     batch kernel, a user's included, must accept both. A range ``r`` means
@@ -84,9 +91,7 @@ class FactoredTarget:
     dim: int
     n_data: int
     log_prior: Callable[[np.ndarray], float]
-    log_lik_term: Optional[Callable[[int, np.ndarray], float]] = None
     grad_log_prior: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_log_lik_term: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     log_lik_terms: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad_log_lik_terms: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -95,31 +100,15 @@ class FactoredTarget:
             raise ValueError("dim must be positive")
         if self.n_data < 0:
             raise ValueError("n_data must be nonnegative")
-        if self.log_lik_term is None and self.log_lik_terms is None and self.n_data > 0:
-            raise ValueError("need log_lik_term or log_lik_terms")
-        if self.log_lik_term is None and self.log_lik_terms is not None:
-            batch = self.log_lik_terms
-            self.log_lik_term = lambda n, th: float(batch(np.array([n]), th)[0])
-        if self.log_lik_terms is None and self.log_lik_term is not None:
-            single = self.log_lik_term
-            self.log_lik_terms = lambda idx, th: np.array(
-                [single(int(n), th) for n in np.asarray(idx)]
-            )
+        if self.log_lik_terms is None and self.n_data > 0:
+            raise ValueError("need log_lik_terms")
         if self.grad_log_prior is None:
             lp = self.log_prior
             self.grad_log_prior = lambda th: finite_difference_gradient(lp, th)
-        if self.grad_log_lik_term is None and self.grad_log_lik_terms is not None:
-            gbatch = self.grad_log_lik_terms
-            self.grad_log_lik_term = lambda n, th: gbatch(np.array([n]), th)[0]
-        if self.grad_log_lik_term is None and self.log_lik_term is not None:
-            ll = self.log_lik_term
-            self.grad_log_lik_term = lambda n, th: finite_difference_gradient(
-                lambda t: ll(n, t), th
-            )
-        if self.grad_log_lik_terms is None and self.grad_log_lik_term is not None:
-            gsingle = self.grad_log_lik_term
-            self.grad_log_lik_terms = lambda idx, th: np.array(
-                [gsingle(int(n), th) for n in np.asarray(idx)]
+        if self.grad_log_lik_terms is None and self.log_lik_terms is not None:
+            ll = self.log_lik_terms
+            self.grad_log_lik_terms = lambda idx, th: finite_difference_gradient(
+                lambda t: ll(idx, t), th
             )
 
     # -- full-data sums -----------------------------------------------------

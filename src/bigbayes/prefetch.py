@@ -19,10 +19,10 @@ import numpy as np
 from .mcmc import ProposalDist, SampleBuffer, mh_log_alpha, mh_propose
 from .rng import KeyedRng
 from .simcluster import SimCluster
+from .subsample import llr_terms
 
 __all__ = [
     "SpecTree",
-    "node_state",
     "naive_schedule",
     "predictive_schedule",
     "constant_predictor",
@@ -47,8 +47,7 @@ class SpecTree:
     state. ``us`` caches the decision uniforms by absolute step index.
     """
 
-    def __init__(self, target, proposal: ProposalDist, theta0, rng: KeyedRng):
-        self.target = target
+    def __init__(self, proposal: ProposalDist, theta0, rng: KeyedRng):
         self.proposal = proposal
         self.rng = rng
         self.root_theta = np.asarray(theta0, dtype=float).copy()
@@ -63,14 +62,14 @@ class SpecTree:
 
     # -- state materialization -------------------------------------------------
 
-    def state_for_prefix(self, prefix: str):
-        """(theta, key-of-owning-accept-node-or-None) for a decision history."""
+    def state_for_prefix(self, prefix: str) -> np.ndarray:
+        """Chain state reached by a decision history: the theta of its last
+        accept node (materialized if needed), or the root's. Draws are keyed
+        by chain position, so they do not depend on the history."""
         last = prefix.rfind("1")
         if last < 0:
-            return self.root_theta, None
-        key = prefix[: last + 1]
-        self.materialize(key)
-        return self.nodes[key].theta, key
+            return self.root_theta
+        return self.materialize(prefix[: last + 1]).theta
 
     def materialize(self, key: str):
         """Ensure an accept-node exists; creates ancestors as needed."""
@@ -78,7 +77,7 @@ class SpecTree:
             raise ValueError("only accept nodes ('...1') are materialized")
         if key in self.nodes:
             return self.nodes[key]
-        parent_theta, _ = self.state_for_prefix(key[:-1])
+        parent_theta = self.state_for_prefix(key[:-1])
         step = self.steps_done + len(key) - 1
         # keyed by chain position: theta' depends on the path only via the parent
         theta_new, u = mh_propose(self.proposal, parent_theta, self.rng.derive("step", step))
@@ -131,12 +130,6 @@ class SpecTree:
         self.steps_done += 1
 
 
-def node_state(tree: SpecTree, key: str) -> np.ndarray:
-    """Chain state reached by a decision history; draws are key-independent."""
-    theta, _ = tree.state_for_prefix(key)
-    return theta
-
-
 # ---------------------------------------------------------------------------
 # Scheduling policies
 # ---------------------------------------------------------------------------
@@ -176,16 +169,14 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     gen = np.random.default_rng(seed)
 
     def predict(tree, parent_key, child_key):
-        parent_theta, _ = tree.state_for_prefix(parent_key)
+        parent_theta = tree.state_for_prefix(parent_key)
         child = tree.materialize(child_key)
         n = target.n_data
         if n == 0:
             lam = target.log_prior(child.theta) - target.log_prior(parent_theta)
             return min(1.0, math.exp(min(0.0, lam)))
         idx = gen.choice(n, size=min(batch_size, n), replace=False)
-        ell = target.log_lik_terms(idx, child.theta) - target.log_lik_terms(
-            idx, parent_theta
-        )
+        ell = llr_terms(target, idx, parent_theta, child.theta)
         est = float(np.mean(ell)) * n + target.log_prior(child.theta) - target.log_prior(
             parent_theta
         )
@@ -250,7 +241,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     if policy == "predictive" and predictor is None:
         predictor = constant_predictor()
 
-    tree = SpecTree(target, proposal, theta0, rng)
+    tree = SpecTree(proposal, theta0, rng)
     eval_cost = float(target.n_data + 1)
     draws = np.empty((T, tree.root_theta.size))
     flags = np.empty(T, dtype=bool)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .mcmc import ChainState, ProposalDist, mh_propose, run_chain
+from .mcmc import ChainState, ProposalDist, mh_log_alpha, mh_propose, run_chain
 from .models import FactoredTarget
 from .rng import KeyedRng
 from .special import student_t_sf
@@ -25,6 +25,7 @@ __all__ = [
     "LLRAccumulator",
     "StopRuleConfig",
     "mh_log_threshold",
+    "llr_terms",
     "llr_update",
     "ttest_should_stop",
     "concentration_should_stop",
@@ -82,14 +83,18 @@ class StopRuleConfig:
 def mh_log_threshold(u: float, theta, theta_new, proposal: ProposalDist,
                      log_prior: Callable, N: int) -> float:
     """psi(u, theta, theta') = (1/N) log[u q(theta'|theta) pi0(theta) /
-    (q(theta|theta') pi0(theta'))]."""
+    (q(theta|theta') pi0(theta'))], with the prior and Hastings terms
+    formed by ``mcmc.mh_log_alpha``."""
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie in (0,1)")
-    val = math.log(u)
-    if not proposal.is_symmetric:
-        val += proposal.log_density(theta_new, theta) - proposal.log_density(theta, theta_new)
-    val += float(log_prior(theta)) - float(log_prior(theta_new))
-    return val / N
+    log_prior_ratio = float(log_prior(theta_new)) - float(log_prior(theta))
+    return (math.log(u) - mh_log_alpha(log_prior_ratio, proposal, theta, theta_new)) / N
+
+
+def llr_terms(target: FactoredTarget, idx, theta, theta_new) -> np.ndarray:
+    """Log-likelihood ratios l_n(theta') - l_n(theta) at the term indices ``idx``."""
+    return (target.log_lik_terms(idx, np.asarray(theta_new, float))
+            - target.log_lik_terms(idx, np.asarray(theta, float)))
 
 
 def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
@@ -113,9 +118,7 @@ def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
             counts += acc._seen[vals]
         raise RuntimeError(
             f"subsample indices reused within one test: {vals[counts > 1][:5].tolist()}")
-    ell = target.log_lik_terms(idx, np.asarray(theta_new, float)) - target.log_lik_terms(
-        idx, np.asarray(theta, float)
-    )
+    ell = llr_terms(target, idx, theta, theta_new)
     c = len(idx)
     m_new = acc.m + c
     mean = (acc.m * acc.mean + float(np.sum(ell))) / m_new
@@ -178,9 +181,7 @@ def pilot_c_bound(target: FactoredTarget, theta, theta_new,
     times ``PILOT_SAFETY``."""
     n = min(PILOT_SIZE, target.n_data)
     idx = rng.choice(target.n_data, size=n, replace=False)
-    ell = target.log_lik_terms(idx, np.asarray(theta_new, float)) - target.log_lik_terms(
-        idx, np.asarray(theta, float)
-    )
+    ell = llr_terms(target, idx, theta, theta_new)
     return PILOT_SAFETY * float(np.max(np.abs(ell))) + 1e-12
 
 
@@ -195,7 +196,7 @@ def _resolve_c(cfg: StopRuleConfig, target, theta, theta_new, rng) -> float:
 def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
     """Consume batches from a fresh permutation until the rule stops.
 
-    Returns (accept, m_used, accumulator).
+    Returns (accept, m_used).
     """
     N = target.n_data
     perm = rng.permutation(N)
@@ -220,7 +221,7 @@ def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
             if stop:
                 break
         batch = int(math.ceil(batch * cfg.geometric))
-    return acc.mean > psi, acc.m, acc
+    return acc.mean > psi, acc.m
 
 
 def _subsampled_decision(target, proposal, theta, cfg, gen):
@@ -228,7 +229,7 @@ def _subsampled_decision(target, proposal, theta, cfg, gen):
     ``mcmc.mh_propose``, then the permutation, then the pilot."""
     theta_new, u = mh_propose(proposal, theta, gen)
     psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
-    accept, m_used, _ = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)
+    accept, m_used = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)
     return theta_new, psi, accept, m_used
 
 
@@ -259,10 +260,7 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
         theta_new, psi, accept, m = _subsampled_decision(target, proposal, theta, cfg, gen)
         disagree = False
         if compare_exact:
-            lam = float(np.mean(
-                target.log_lik_terms(all_idx, theta_new)
-                - target.log_lik_terms(all_idx, theta)
-            ))
+            lam = float(np.mean(llr_terms(target, all_idx, theta, theta_new)))
             disagree = (lam > psi) != accept
         return ChainState(theta_new if accept else theta, state.it + 1), accept, m, disagree
 

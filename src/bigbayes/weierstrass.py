@@ -87,8 +87,8 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
 
 
 def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
-                    inner_steps: int = 5, sync_every: int = 1,
-                    rng: Optional[KeyedRng] = None,
+                    inner_steps: int = 5, sync_every: int = 1, *,
+                    rng: KeyedRng,
                     cluster: Optional[SimCluster] = None) -> SampleBuffer:
     """Alternate parallel xi updates with synchronized theta draws.
 
@@ -100,7 +100,6 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     """
     if not isinstance(sync_every, numbers.Integral) or sync_every < 1:
         raise ValueError(f"sync_every must be an integer >= 1, got {sync_every!r}")
-    rng = KeyedRng(0) if rng is None else rng
     J = len(subposteriors)
     if cluster is None:
         cluster = SimCluster(J, seed=rng.seed)

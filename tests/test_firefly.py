@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from bigbayes.diagnostics import mcmc_se
@@ -82,9 +85,8 @@ def test_bound_violation_raises():
     from bigbayes.firefly import LikelihoodBound
 
     bad = LikelihoodBound(
-        stat_dim=1,
         log_bound_batch=lambda idx, th: target.log_lik_terms(idx, th) + 1.0,
-        dark_stats=lambda idx: np.ones((len(np.asarray(idx)), 1)),
+        dark_stat_sum=lambda idx: np.array([float(len(np.asarray(idx)))]),
         collapsed_log_product=lambda th, s: 0.0,
     )
     with pytest.raises(BoundViolationError):
@@ -98,7 +100,7 @@ def test_collapsed_product_matches_direct_sum():
         th = rng.standard_normal(1)
         subset = rng.choice(30, size=12, replace=False)
         direct = float(np.sum(bound.log_bound_batch(subset, th)))
-        stats = bound.dark_stats(subset).sum(axis=0)
+        stats = bound.dark_stat_sum(subset)
         assert bound.collapsed_log_product(th, stats) == pytest.approx(direct, abs=1e-10)
 
 
@@ -110,8 +112,57 @@ def test_logistic_collapsed_product_matches_direct_sum():
     th = np.array([0.4, -1.1])
     subset = rng.choice(20, size=9, replace=False)
     direct = float(np.sum(bound.log_bound_batch(subset, th)))
-    stats = bound.dark_stats(subset).sum(axis=0)
+    stats = bound.dark_stat_sum(subset)
     assert bound.collapsed_log_product(th, stats) == pytest.approx(direct, abs=1e-10)
+
+
+def _logistic_stat_rows(X, y, theta_ref):
+    """Per-datum [c_n, a_n/2, lam_n a_n a_n^T] of the tangent bound at theta_ref."""
+    rows = []
+    for x_n, y_n in zip(X, y):
+        a = y_n * x_n
+        xi = abs(float(a @ theta_ref))
+        lam = math.tanh(xi / 2.0) / (4.0 * xi) if xi > 1e-8 else 0.125
+        c = -math.log1p(math.exp(-xi)) - xi / 2.0 + lam * xi**2
+        rows.append(np.concatenate([[c], a / 2.0, (lam * np.outer(a, a)).ravel()]))
+    return np.array(rows)
+
+
+def _stat_sum_cases():
+    rng = np.random.default_rng(30)
+    n, d = 17, 3
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    xs = rng.normal(1.0, 2.0, n)
+    theta_ref = 0.5 * rng.standard_normal(d)
+    return {
+        "logistic": (logistic_quadratic_bound(X, y, theta_ref),
+                     _logistic_stat_rows(X, y, theta_ref), theta_ref),
+        # every xi is 0 at the origin, so every lam takes its limit 1/8
+        "logistic_at_zero": (logistic_quadratic_bound(X, y, np.zeros(d)),
+                             _logistic_stat_rows(X, y, np.zeros(d)), theta_ref),
+        "gaussian": (scaled_gaussian_bound(xs, 0.2, lik_var=1.5),
+                     np.column_stack([np.ones(n), xs, xs**2]), np.array([0.4])),
+    }
+
+
+STAT_SUM_CASES = _stat_sum_cases()
+_index_sets = st.one_of(
+    st.lists(st.integers(0, 16), unique=True).map(lambda v: np.array(v, dtype=int)),
+    st.tuples(st.integers(0, 17), st.integers(0, 17)).map(lambda ab: range(*ab)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(STAT_SUM_CASES)), idx=_index_sets)
+def test_dark_stat_sum_equals_summed_per_datum_rows(name, idx):
+    bound, rows, theta = STAT_SUM_CASES[name]
+    picked = rows[np.asarray(idx, dtype=int)]
+    got = bound.dark_stat_sum(idx)
+    assert got.shape == (rows.shape[1],)
+    assert np.all(np.abs(got - picked.sum(axis=0)) <= 1e-12 * np.abs(picked).sum(axis=0))
+    if len(picked) == 0:
+        assert bound.collapsed_log_product(theta, got) == 0.0
 
 
 # -- resampling ----------------------------------------------------------------
@@ -149,6 +200,48 @@ def test_incremental_dark_stats_match_recompute():
         assert check_coherence(state, target, bound)
 
 
+def test_incremental_dark_stats_match_recompute_logistic():
+    rng = np.random.default_rng(31)
+    n, d = 200, 3
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, np.zeros(d))
+    # away from the tangency point many points are bright, so indicators flip
+    state = init_firefly(target, bound, np.full(d, 0.8), rng)
+    state.log_joint_aug = flymc_log_joint(state, target, bound)
+    flips = 0
+    for _ in range(30):
+        before = state.z
+        state, _ = resample_brightness(state, target, bound, 0.2, rng)
+        flips += int(np.count_nonzero(before != state.z))
+        assert check_coherence(state, target, bound)
+    assert flips > 0
+
+
+def test_init_firefly_never_holds_per_datum_stat_rows():
+    # per-datum statistic rows would take N (1 + d + d^2) 8 bytes; the
+    # closed-form sum needs a few length-N vectors and one (N, d) product
+    rng = np.random.default_rng(32)
+    N, d = 20_000, 5
+    X = rng.standard_normal((N, d))
+    y = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+    theta_ref = 0.3 * rng.standard_normal(d)
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, theta_ref)
+    tracemalloc.start()
+    try:
+        state = init_firefly(target, bound, theta_ref + 0.05, np.random.default_rng(33),
+                             init="sample")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < state.bright_count < N
+    assert check_coherence(state, target, bound)
+    limit = N * (1 + d + d * d) * 8 / 2
+    assert peak < limit, f"peak {peak} bytes against {limit:.0f}"
+
+
 def test_rho_z_out_of_range():
     _, target, bound = gaussian_setup()
     state = init_firefly(target, bound, np.zeros(1), np.random.default_rng(0))
@@ -169,7 +262,7 @@ def test_all_dark_joint_uses_collapse_only():
 
     target.log_lik_terms = counting
     state = FireflyState(theta=np.array([0.3]), z=np.zeros(25, bool),
-                         dark_stat_sum=bound.dark_stats(np.arange(25)).sum(axis=0))
+                         dark_stat_sum=bound.dark_stat_sum(np.arange(25)))
     val = flymc_log_joint(state, target, bound)
     assert calls["n"] == 0
     expected = target.log_prior(state.theta) + bound.collapsed_log_product(
@@ -193,7 +286,6 @@ def test_z_marginalization_recovers_exact_joint():
     # exact joint; N=8 brute force
     n = 8
     _, target, bound = gaussian_setup(n=n, delta=0.3)
-    stats = bound.dark_stats(np.arange(n))
     rng = np.random.default_rng(6)
     ratios = []
     for _ in range(5):
@@ -201,7 +293,8 @@ def test_z_marginalization_recovers_exact_joint():
         vals = []
         for mask in range(2**n):
             z = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-            state = FireflyState(theta=th, z=z, dark_stat_sum=stats[~z].sum(axis=0))
+            state = FireflyState(theta=th, z=z,
+                                 dark_stat_sum=bound.dark_stat_sum(np.flatnonzero(~z)))
             vals.append(flymc_log_joint(state, target, bound))
         ratios.append(logsumexp(vals) - target.log_joint(th))
     assert np.ptp(ratios) < 1e-8

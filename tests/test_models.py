@@ -190,20 +190,36 @@ def test_finite_difference_fallback_gradient():
         dim=2,
         n_data=3,
         log_prior=lambda th: -0.5 * float(th @ th),
-        log_lik_term=lambda n, th: -0.25 * float((th[0] - n) ** 2) - 0.1 * float(th[1] ** 4),
+        log_lik_terms=lambda idx, th: -0.25 * (th[0] - np.asarray(idx)) ** 2 - 0.1 * th[1] ** 4,
     )
     th = np.array([0.3, -0.7])
     fd = finite_difference_gradient(target.log_joint, th)
     assert np.allclose(target.grad_log_joint(th), fd, rtol=1e-5, atol=1e-6)
 
 
-def test_batch_terms_match_scalar_terms():
+def test_finite_difference_gradient_array_valued():
+    def f(x):
+        return np.array([x @ x, np.sin(x[0]) * x[1], np.sum(x**3)])
+
+    x = np.array([0.3, -1.2, 2.0])
+    jac = finite_difference_gradient(f, x)
+    want = np.array([2.0 * x,
+                     [np.cos(x[0]) * x[1], np.sin(x[0]), 0.0],
+                     3.0 * x**2])
+    assert jac.shape == (3, 3)
+    assert np.allclose(jac, want, rtol=1e-6, atol=1e-8)
+    assert finite_difference_gradient(lambda v: v @ v, x).shape == (3,)
+
+
+def test_batch_only_target_gets_finite_difference_batch_gradient():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((15, 2))
     y = np.where(rng.random(15) < 0.4, -1.0, 1.0)
-    target = logistic_regression_target(X, y)
+    full = logistic_regression_target(X, y)
+    batch_only = FactoredTarget(dim=2, n_data=15, log_prior=full.log_prior,
+                                log_lik_terms=full.log_lik_terms)
     th = rng.standard_normal(2)
-    idx = np.array([0, 3, 7])
-    batch = target.log_lik_terms(idx, th)
-    singles = [target.log_lik_term(int(n), th) for n in idx]
-    assert np.allclose(batch, singles)
+    for idx in (np.array([0, 3, 7]), range(15), np.array([], dtype=int)):
+        got = batch_only.grad_log_lik_terms(idx, th)
+        assert got.shape == (len(idx), 2)
+        assert np.allclose(got, full.grad_log_lik_terms(idx, th), rtol=1e-6, atol=1e-8)

@@ -7,7 +7,6 @@ from bigbayes.prefetch import (
     SpecTree,
     constant_predictor,
     naive_schedule,
-    node_state,
     predictive_schedule,
     prefetch_run,
     subsample_predictor,
@@ -20,16 +19,15 @@ def std_normal_target():
 
 
 def make_tree(seed=0, theta0=None):
-    t = std_normal_target()
     prop = gaussian_random_walk(1.0)
-    return SpecTree(t, prop, np.zeros(1) if theta0 is None else theta0, KeyedRng(seed))
+    return SpecTree(prop, np.zeros(1) if theta0 is None else theta0, KeyedRng(seed))
 
 
 # -- tree state materialization -------------------------------------------------
 
 def test_empty_key_is_current_state_no_draw():
     tree = make_tree()
-    assert np.array_equal(node_state(tree, ""), tree.root_theta)
+    assert np.array_equal(tree.state_for_prefix(""), tree.root_theta)
     assert tree.nodes == {}
 
 
@@ -44,24 +42,23 @@ def test_same_node_materialized_twice_identical():
 
 def test_reject_nodes_share_parent_state():
     tree = make_tree(seed=4)
-    th_after_accept = node_state(tree, "1")
-    assert np.array_equal(node_state(tree, "10"), th_after_accept)
-    assert np.array_equal(node_state(tree, "100"), th_after_accept)
+    th_after_accept = tree.state_for_prefix("1")
+    assert np.array_equal(tree.state_for_prefix("10"), th_after_accept)
+    assert np.array_equal(tree.state_for_prefix("100"), th_after_accept)
 
 
 def test_draws_keyed_by_depth_not_history():
     # the proposal increment at a given chain step is shared by all branches
     tree = make_tree(seed=5)
-    inc_after_accept = node_state(tree, "11") - node_state(tree, "1")
-    inc_after_reject = node_state(tree, "01") - node_state(tree, "0")
+    inc_after_accept = tree.state_for_prefix("11") - tree.state_for_prefix("1")
+    inc_after_reject = tree.state_for_prefix("01") - tree.state_for_prefix("0")
     assert np.allclose(inc_after_accept, inc_after_reject)
 
 
 def test_serial_and_prefetch_consume_same_draw_pairs():
-    target = std_normal_target()
     prop = gaussian_random_walk(1.0)
     key = KeyedRng(6)
-    tree = SpecTree(target, prop, np.zeros(1), key)
+    tree = SpecTree(prop, np.zeros(1), key)
     tree.materialize("1")
     # replicate serial mh draw order for step 0
     gen = key.derive("step", 0)

@@ -56,9 +56,9 @@ KERNELS = {
     **{k: v for j in range(3) for k, v in _target_kernels(
         f"sub_interleaved{j}", subposterior_target(_logistic, _interleaved, j), _THETA).items()},
     "logistic_bound.log_bound": (13, lambda idx: _lq_bound.log_bound_batch(idx, _THETA)),
-    "logistic_bound.dark_stats": (13, _lq_bound.dark_stats),
+    "logistic_bound.dark_stat_sum": (13, _lq_bound.dark_stat_sum),
     "gaussian_bound.log_bound": (13, lambda idx: _sg_bound.log_bound_batch(idx, _THETA[:1])),
-    "gaussian_bound.dark_stats": (13, _sg_bound.dark_stats),
+    "gaussian_bound.dark_stat_sum": (13, _sg_bound.dark_stat_sum),
 }
 
 
