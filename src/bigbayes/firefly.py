@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mcmc import ProposalDist, mh_log_alpha, mh_propose, run_chain
+from .mcmc import ProposalDist, _finite_or_neginf, mh_log_alpha, mh_propose, run_chain
 from .models import FactoredTarget, _rows
 from .rng import KeyedRng
 
@@ -231,7 +231,8 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
                rho_z: float, rng_mh: np.random.Generator,
                rng_z: np.random.Generator):
     """One MH update of theta under the augmented joint (drawing from
-    ``rng_mh`` by ``mcmc.mh_propose``), then a brightness resample from
+    ``rng_mh`` by ``mcmc.mh_propose``; as in ``mh_step``, a non-finite
+    density at the proposal rejects), then a brightness resample from
     ``rng_z``; returns (state', accepted, n_likelihood_evals)."""
     if state.log_joint_aug is None:
         state.log_joint_aug = flymc_log_joint(state, target, bound)
@@ -240,10 +241,7 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
     prop_state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
                               dark_stat_sum=state.dark_stat_sum)
     evals = state.bright_count
-    try:
-        lj_new = flymc_log_joint(prop_state, target, bound)
-    except FloatingPointError:
-        lj_new = -math.inf
+    lj_new = _finite_or_neginf(lambda s: flymc_log_joint(s, target, bound), prop_state)
     log_alpha = mh_log_alpha(lj_new - state.log_joint_aug, proposal, theta, theta_new)
     accepted = math.log(u) < log_alpha
     if accepted:

@@ -76,8 +76,10 @@ class FactoredTarget:
     A missing ``grad_log_prior`` or ``grad_log_lik_terms`` falls back to
     central finite differences, the latter taken over the whole batch at
     once (``finite_difference_gradient`` of the array-valued
-    ``log_lik_terms(idx, .)``). Instances are immutable after construction
-    and safe to share across workers.
+    ``log_lik_terms(idx, .)``). The fallbacks read the kernels when called,
+    so a kernel assigned after construction (a term-counting wrapper, say)
+    is the one differenced. No sampler assigns to a target, so one instance
+    can be shared across workers.
 
     A batch of term indices is an integer array or a ``range``, and every
     batch kernel, a user's included, must accept both. A range ``r`` means
@@ -103,13 +105,10 @@ class FactoredTarget:
         if self.log_lik_terms is None and self.n_data > 0:
             raise ValueError("need log_lik_terms")
         if self.grad_log_prior is None:
-            lp = self.log_prior
-            self.grad_log_prior = lambda th: finite_difference_gradient(lp, th)
+            self.grad_log_prior = lambda th: finite_difference_gradient(self.log_prior, th)
         if self.grad_log_lik_terms is None and self.log_lik_terms is not None:
-            ll = self.log_lik_terms
             self.grad_log_lik_terms = lambda idx, th: finite_difference_gradient(
-                lambda t: ll(idx, t), th
-            )
+                lambda t: self.log_lik_terms(idx, t), th)
 
     # -- full-data sums -----------------------------------------------------
 

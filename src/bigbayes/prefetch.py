@@ -8,15 +8,22 @@ chain position, never by speculation order, and each decision uses
 every scheduling policy and worker count. Only accept-branch nodes need
 evaluation: a rejection reuses its parent's state and density. Each
 superstep's evaluations are one ``SimCluster.map_on_workers`` fan-out.
+
+Both policies are one best-first search for the J unevaluated accept nodes
+of highest path probability, ties broken on (depth, key): naive prefetching
+(Brockwell 2006) sets every branch probability to 1/2, which is breadth-first
+order, and predictive prefetching (Angelino et al. 2014) asks a predictor.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .mcmc import ProposalDist, SampleBuffer, mh_log_alpha, mh_propose
+from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, mh_log_alpha,
+                   mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
 from .subsample import llr_terms
@@ -134,25 +141,6 @@ class SpecTree:
 # Scheduling policies
 # ---------------------------------------------------------------------------
 
-def naive_schedule(tree: SpecTree, J: int):
-    """First J unevaluated accept nodes in breadth-first order."""
-    if J < 1:
-        raise ValueError("J must be positive")
-    picked = []
-    depth = 1
-    while len(picked) < J:
-        for i in range(2 ** (depth - 1)):
-            key = bin(i)[2:].zfill(depth - 1) + "1" if depth > 1 else "1"
-            node = tree.nodes.get(key)
-            if node is not None and node.lj is not None:
-                continue
-            picked.append(key)
-            if len(picked) == J:
-                break
-        depth += 1
-    return picked
-
-
 def constant_predictor(p: float = 0.234) -> Callable:
     """Branch predictor with a fixed acceptance probability (the classic
     Gaussian-case optimum 0.234 by default)."""
@@ -185,40 +173,46 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     return predict
 
 
-def predictive_schedule(tree: SpecTree, J: int, predictor: Callable):
-    """Top-J unevaluated accept nodes by predicted path probability.
+def _best_first(tree: SpecTree, J: int, predictor: Callable):
+    """Top J unevaluated accept nodes by (-path probability, depth, key).
 
-    A node's utility is the probability the chain reaches its parent state,
-    i.e. the product of predicted branch probabilities along the prefix;
-    ties break on (depth, key).
+    Prefixes pop from a heap in that order, starting at the root ``""``.
+    Each pop schedules the prefix's accept child if it has no density yet
+    and, until J are picked, pushes both children at the predictor's p and
+    1 - p. A child never ranks above its parent, so the picks are exact,
+    at one predictor call per expanded prefix.
     """
     if J < 1:
         raise ValueError("J must be positive")
-    order = lambda c: (-c[1], len(c[0]), c[0])
-    candidates = []
-    frontier = [("", 1.0)]
-    # beam search: utilities only shrink along a path and every frontier
-    # prefix yields one candidate at its own utility, so a beam of J
-    # prefixes is exact
-    for _ in range(10 * J + 50):
-        nxt = []
-        for prefix, util in frontier:
-            child = prefix + "1"
-            node = tree.nodes.get(child)
-            if node is None or node.lj is None:
-                candidates.append((child, util))
-            p = predictor(tree, prefix, child)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"predictor returned {p} outside [0,1]")
-            nxt.append((child, util * p))
-            nxt.append((prefix + "0", util * (1.0 - p)))
-        nxt.sort(key=order)
-        frontier = nxt[:J]
-        candidates.sort(key=order)
-        candidates = candidates[:J]
-        if len(candidates) == J and (not frontier or frontier[0][1] <= candidates[-1][1]):
-            break
-    return [key for key, _ in candidates]
+    picked = []
+    heap = [(-1.0, 0, "")]
+    while True:
+        neg_util, depth, prefix = heapq.heappop(heap)
+        child = prefix + "1"
+        node = tree.nodes.get(child)
+        if node is None or node.lj is None:
+            picked.append(child)
+            if len(picked) == J:
+                return picked
+        p = predictor(tree, prefix, child)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"predictor returned {p} outside [0,1]")
+        heapq.heappush(heap, (neg_util * p, depth + 1, child))
+        heapq.heappush(heap, (neg_util * (1.0 - p), depth + 1, prefix + "0"))
+
+
+def naive_schedule(tree: SpecTree, J: int):
+    """First J unevaluated accept nodes in breadth-first order: the
+    best-first search with every branch probability 1/2, whose exact
+    powers of two rank nodes by depth, then key."""
+    return _best_first(tree, J, constant_predictor(0.5))
+
+
+def predictive_schedule(tree: SpecTree, J: int, predictor: Callable):
+    """Top-J unevaluated accept nodes by predicted path probability, ties
+    broken on (depth, key): the best-first search with ``predictor``'s
+    branch probabilities, each checked to lie in [0, 1]."""
+    return _best_first(tree, J, predictor)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +226,24 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     """Prefetched MH chain of length T on J simulated workers.
 
     Returns (SampleBuffer, info). The draws are bit-exact equal to
-    ``run_mh(target, proposal, theta0, T, rng)`` for every policy and J.
+    ``run_mh(target, proposal, theta0, T, rng)`` for every policy ("naive",
+    or "predictive" with ``constant_predictor()`` by default) and J; as in
+    ``mh_step``, a non-finite speculative density is -inf, a rejection.
     """
+    if policy == "naive":
+        if predictor is not None:
+            raise ValueError("policy 'naive' takes no predictor")
+        schedule = lambda tree: naive_schedule(tree, J)
+    elif policy == "predictive":
+        if predictor is None:
+            predictor = constant_predictor()
+        schedule = lambda tree: predictive_schedule(tree, J, predictor)
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
     if cluster is None:
         cluster = SimCluster(J, seed=rng.seed)
     if cluster.n_workers != J:
         raise ValueError("cluster must have J workers")
-    if policy == "predictive" and predictor is None:
-        predictor = constant_predictor()
 
     tree = SpecTree(proposal, theta0, rng)
     eval_cost = float(target.n_data + 1)
@@ -255,15 +259,10 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     evals += 1
 
     while done < T:
-        if policy == "naive":
-            keys = naive_schedule(tree, J)
-        elif policy == "predictive":
-            keys = predictive_schedule(tree, J, predictor)
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
-        nodes = [tree.materialize(key) for key in keys]
+        nodes = [tree.materialize(key) for key in schedule(tree)]
         ljs = cluster.map_on_workers(
-            [lambda theta=node.theta: (target.log_joint(theta), eval_cost) for node in nodes],
+            [lambda theta=node.theta: (_finite_or_neginf(target.log_joint, theta), eval_cost)
+             for node in nodes],
             tag="prefetch-eval")
         # barrier: master resolves only when the superstep's results are in
         cluster.align_clocks()

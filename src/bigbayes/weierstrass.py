@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mcmc import SampleBuffer, gaussian_random_walk, mh_log_alpha, mh_propose
+from .mcmc import (SampleBuffer, _finite_or_neginf, gaussian_random_walk, mh_log_alpha,
+                   mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
 
@@ -57,7 +58,7 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     ``subposterior`` is either a tuple (mu, cov) of an analytic Gaussian
     f_j, in which case the conditional is drawn exactly, or a callable
     log f_j(xi) advanced by ``inner_steps`` random-walk MH steps of scale
-    min(h).
+    min(h), where a non-finite density at a proposal rejects.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -80,7 +81,7 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     current = log_target(xi)
     for _ in range(inner_steps):
         prop, u = mh_propose(walk, xi, rng)
-        cand = log_target(prop)
+        cand = _finite_or_neginf(log_target, prop)
         if math.log(u) < mh_log_alpha(cand - current, walk, xi, prop):
             xi, current = prop, cand
     return xi

@@ -364,3 +364,25 @@ def test_coherence_after_random_interleaving():
             state, _ = resample_brightness(state, target, bound,
                                            float(rng.uniform(0.05, 1.0)), rng)
         assert check_coherence(state, target, bound)
+
+
+def test_infinite_proposal_density_rejects_as_in_plain_mh():
+    # a tight bound makes FlyMC's decisions MH's; +inf must reject in both
+    xs, target, bound = gaussian_setup(n=50, delta=0.0)
+    finite_prior = target.log_prior
+    above = []
+
+    def log_prior(th):
+        if th[0] > 0.5:
+            above.append(float(th[0]))
+            return math.inf
+        return finite_prior(th)
+
+    target.log_prior = log_prior
+    prop = gaussian_random_walk(0.3)
+    buf_fly, _ = run_flymc(target, bound, prop, np.zeros(1), 300, 0.1, KeyedRng(9))
+    buf_mh = run_mh(target, prop, np.zeros(1), 300, KeyedRng(9))
+    assert above, "no proposal crossed 0.5"
+    assert np.all(buf_fly.draws <= 0.5)
+    assert np.array_equal(buf_fly.accept_flags, buf_mh.accept_flags)
+    assert np.allclose(buf_fly.draws, buf_mh.draws)

@@ -223,3 +223,29 @@ def test_batch_only_target_gets_finite_difference_batch_gradient():
         got = batch_only.grad_log_lik_terms(idx, th)
         assert got.shape == (len(idx), 2)
         assert np.allclose(got, full.grad_log_lik_terms(idx, th), rtol=1e-6, atol=1e-8)
+
+
+def test_finite_difference_fallbacks_read_kernels_assigned_later():
+    # a counting wrapper assigned after construction sees the gradient's 2d calls
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((12, 3))
+    y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+    full = logistic_regression_target(X, y)
+    target = FactoredTarget(dim=3, n_data=12, log_prior=full.log_prior,
+                            log_lik_terms=full.log_lik_terms)
+    calls = {"prior": 0, "lik": 0}
+
+    def counting_prior(th):
+        calls["prior"] += 1
+        return full.log_prior(th)
+
+    def counting_lik(idx, th):
+        calls["lik"] += 1
+        return full.log_lik_terms(idx, th)
+
+    target.log_prior = counting_prior
+    target.log_lik_terms = counting_lik
+    th = rng.standard_normal(3)
+    g = target.grad_log_joint(th)
+    assert calls == {"prior": 2 * 3, "lik": 2 * 3}
+    assert np.allclose(g, full.grad_log_joint(th), rtol=1e-5, atol=1e-6)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigbayes.mcmc import ProposalDist, gaussian_random_walk, run_mh
 from bigbayes.models import FactoredTarget, gaussian_iid_target
@@ -12,6 +14,7 @@ from bigbayes.prefetch import (
     subsample_predictor,
 )
 from bigbayes.rng import KeyedRng
+from bigbayes.simcluster import SimCluster
 
 
 def std_normal_target():
@@ -222,3 +225,108 @@ def test_eval_messages_count_every_eval_but_the_initial_one(policy):
     cluster = info["cluster"]
     assert cluster.message_counts("prefetch-eval") == info["evals"] - 1
     assert cluster.message_counts("prefetch-eval-result") == info["evals"] - 1
+
+
+# -- the one best-first search ----------------------------------------------------
+
+ACCEPT_KEYS_TO_DEPTH_6 = [format(i, f"0{n}b") + "1" for n in range(6) for i in range(2 ** n)]
+
+
+def tree_with_evaluated(keys):
+    tree = make_tree()
+    for key in keys:
+        tree.materialize(key).lj = 0.0
+    return tree
+
+
+def brute_force_top(evaluated, J, p):
+    """Every accept node of depth <= 6 + J, ranked by (-path probability,
+    depth, key); a deeper node has J shallower unevaluated nodes on its own
+    path that rank above it."""
+    ranked = []
+    level = [("", 1.0)]
+    for _ in range(6 + J):
+        nxt = []
+        for prefix, util in level:
+            if prefix + "1" not in evaluated:
+                ranked.append((-util, len(prefix) + 1, prefix + "1"))
+            nxt += [(prefix + "1", util * p), (prefix + "0", util * (1.0 - p))]
+        level = nxt
+    return [key for _, _, key in sorted(ranked)[:J]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluated=st.sets(st.sampled_from(ACCEPT_KEYS_TO_DEPTH_6), max_size=20),
+       J=st.integers(1, 8), p=st.sampled_from([0.0, 0.234, 0.5, 0.6, 1.0]))
+def test_schedules_are_the_exact_top_j(evaluated, J, p):
+    tree = tree_with_evaluated(sorted(evaluated))
+    got = predictive_schedule(tree, J, constant_predictor(p))
+    assert got == brute_force_top(evaluated, J, p)
+    assert naive_schedule(tree, J) == predictive_schedule(tree, J, constant_predictor(0.5))
+
+
+def test_predictive_looks_past_an_evaluated_accept_chain():
+    # "01" (path probability 0.4) outranks "111" (0.36)
+    tree = tree_with_evaluated(["1", "11"])
+    assert predictive_schedule(tree, 1, constant_predictor(0.6)) == ["01"]
+
+
+@pytest.mark.parametrize("evaluated", [[], ["1", "11", "01", "0101"]])
+@pytest.mark.parametrize("J", [1, 4, 16])
+def test_predictor_called_once_per_expanded_prefix(evaluated, J):
+    calls = []
+
+    def counting(tree, parent_key, child_key):
+        calls.append(parent_key)
+        return 0.9
+
+    predictive_schedule(tree_with_evaluated(evaluated), J, counting)
+    assert len(calls) == len(set(calls)) <= J + len(evaluated)
+
+
+# -- speculative densities and policy checks --------------------------------------
+
+def log_normal_prior_target(visits):
+    """log pi(theta) = -log theta - (log theta)^2 / 2: NaN, so a
+    FloatingPointError in ``log_joint``, for theta <= 0."""
+
+    def log_prior(th):
+        if th[0] <= 0:
+            visits.append(float(th[0]))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lt = np.log(th[0])
+        return float(-lt - 0.5 * lt**2)
+
+    return FactoredTarget(dim=1, n_data=0, log_prior=log_prior)
+
+
+@pytest.mark.parametrize("J", [1, 4])
+@pytest.mark.parametrize("policy", ["naive", "predictive"])
+def test_non_finite_speculative_density_rejects_as_serial_mh(J, policy):
+    visits = []
+    target = log_normal_prior_target(visits)
+    prop = gaussian_random_walk(1.5)
+    serial = run_mh(target, prop, np.ones(1), 300, KeyedRng(3))
+    assert visits, "the chain never proposed theta <= 0"
+    buf, _ = prefetch_run(target, prop, np.ones(1), 300, J, KeyedRng(3), policy=policy)
+    assert np.array_equal(buf.draws, serial.draws)
+    assert np.array_equal(buf.accept_flags, serial.accept_flags)
+    assert np.all(buf.draws > 0)
+
+
+@pytest.mark.parametrize("T", [0, 5])
+def test_unknown_policy_rejected_before_any_work(T):
+    cluster = SimCluster(4, seed=0)
+    with pytest.raises(ValueError, match="bogus"):
+        prefetch_run(std_normal_target(), gaussian_random_walk(1.0), np.zeros(1), T, 4,
+                     KeyedRng(0), policy="bogus", cluster=cluster)
+    assert cluster.total_charged == 0
+
+
+def test_naive_policy_rejects_a_predictor():
+    cluster = SimCluster(4, seed=0)
+    with pytest.raises(ValueError, match="naive"):
+        prefetch_run(std_normal_target(), gaussian_random_walk(1.0), np.zeros(1), 5, 4,
+                     KeyedRng(0), policy="naive", predictor=constant_predictor(0.3),
+                     cluster=cluster)
+    assert cluster.total_charged == 0

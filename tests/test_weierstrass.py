@@ -111,3 +111,17 @@ def test_callable_path_charges_inner_steps_per_worker_per_round():
     for k in range(J):
         assert [u for node, u in cluster.charges if node == k] == [inner] * T
     assert cluster.total_charged == J * T * inner
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_xi_update_rejects_a_non_finite_proposal_density(bad):
+    state = weierstrass.WeierstrassState(theta=np.zeros(1), xi=np.zeros((1, 1)), h=1.0)
+    proposed = []
+
+    def log_f(x):
+        proposed.append(float(x[0]))
+        return bad if x[0] > 0.5 else -0.5 * float(x @ x)
+
+    xi = weierstrass.xi_update(state, 0, log_f, 200, KeyedRng(0).derive("xi", 0))
+    assert max(proposed) > 0.5
+    assert xi[0] <= 0.5
