@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FactoredTarget, _rows
+from .models import FactoredTarget, _rows, _take
 from .simcluster import SimCluster
 
 __all__ = [
@@ -69,7 +69,7 @@ def _shard_rows(shard: np.ndarray):
 
     def rows(idx):
         sel = _rows(idx, len(shard))
-        return base[sel] if isinstance(sel, slice) else shard[sel]
+        return base[sel] if isinstance(sel, slice) else _take(shard, sel)
 
     return rows
 

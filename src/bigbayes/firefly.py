@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mcmc import ProposalDist, _finite_or_neginf, mh_log_alpha, mh_propose, run_chain
-from .models import FactoredTarget, _rows
+from .models import FactoredTarget, _check_logistic_data, _log_sigmoid, _rows, _take
 from .rng import KeyedRng
 
 __all__ = [
@@ -68,11 +68,11 @@ def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodB
     const = -0.5 * math.log(2 * math.pi * lik_var)
 
     def log_bound_batch(idx, theta):
-        x = xs[_rows(idx, len(xs))]
+        x = _take(xs, _rows(idx, len(xs)))
         return -0.5 * (x - theta[0]) ** 2 / lik_var + const - delta
 
     def dark_stat_sum(idx):
-        x = xs[_rows(idx, len(xs))]
+        x = _take(xs, _rows(idx, len(xs)))
         return np.array([x.size, np.sum(x), np.sum(x**2)], dtype=float)
 
     def collapsed(theta, s):
@@ -89,28 +89,29 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
     log sigma(z) >= log sigma(xi) + (z - xi)/2 - lam(xi)(z^2 - xi^2) with
     lam(xi) = tanh(xi/2) / (4 xi); tangency points are fixed at the
     reference parameter (typically a MAP estimate), where the bound is tight.
+    log sigma(xi) is ``models._log_sigmoid``, the logistic target's own
+    log-sigmoid.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _check_logistic_data(X, y)
     theta_ref = np.asarray(theta_ref, dtype=float)
     A = X * y[:, None]                      # a_n = y_n x_n, z_n = a_n . theta
     xi = np.abs(A @ theta_ref)
     lam = np.where(xi > 1e-8, np.tanh(xi / 2.0) / (4.0 * np.where(xi > 0, xi, 1.0)), 0.125)
-    log_sig_xi = -np.logaddexp(0.0, -xi)
+    log_sig_xi = _log_sigmoid(xi)
     c = log_sig_xi - xi / 2.0 + lam * xi**2
     d = X.shape[1]
 
     def log_bound_batch(idx, theta):
         rows = _rows(idx, len(A))
-        z = A[rows] @ theta
-        return c[rows] + z / 2.0 - lam[rows] * z**2
+        z = _take(A, rows) @ theta
+        return _take(c, rows) + z / 2.0 - _take(lam, rows) * z**2
 
     def dark_stat_sum(idx):
         # sum of [c_n, a_n/2, lam_n a_n a_n^T] in closed form: no per-datum rows
         rows = _rows(idx, len(A))
-        a = A[rows]
-        quad = (a * lam[rows, None]).T @ a
-        return np.concatenate([[np.sum(c[rows])], np.sum(a, axis=0) / 2.0, quad.ravel()])
+        a = _take(A, rows)
+        quad = (a * _take(lam, rows)[:, None]).T @ a
+        return np.concatenate([[np.sum(_take(c, rows))], np.sum(a, axis=0) / 2.0, quad.ravel()])
 
     def collapsed(theta, s):
         const = s[0]

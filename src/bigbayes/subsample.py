@@ -224,6 +224,11 @@ def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
     return acc.mean > psi, acc.m
 
 
+def _check_has_data(target: FactoredTarget):
+    if target.n_data < 1:
+        raise ValueError(f"subsampling MH needs at least one term, got n_data={target.n_data}")
+
+
 def _subsampled_decision(target, proposal, theta, cfg, gen):
     """(theta', psi, accept, m_used) of one step; draws follow
     ``mcmc.mh_propose``, then the permutation, then the pilot."""
@@ -240,6 +245,7 @@ def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
 
     A step is reproducible from its generator alone.
     """
+    _check_has_data(target)
     theta_new, _, accept, m_used = _subsampled_decision(target, proposal, state.theta, cfg, rng)
     new_theta = theta_new if accept else state.theta
     return ChainState(np.asarray(new_theta, float), state.it + 1), m_used
@@ -253,6 +259,7 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
     the same (theta', u) at every step and the count of decision mismatches
     is returned; the chain still follows the approximate decisions.
     """
+    _check_has_data(target)
     all_idx = target.all_indices()
 
     def step(state, t, gen):

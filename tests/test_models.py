@@ -1,6 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bigbayes.firefly import logistic_quadratic_bound
 from bigbayes.models import (
     FactoredTarget,
     GaussianModelSpec,
@@ -8,6 +14,7 @@ from bigbayes.models import (
     gaussian_mean_target,
     gaussian_posterior,
     gaussian_subposterior,
+    _log_sigmoid,
     logistic_regression_target,
 )
 
@@ -249,3 +256,47 @@ def test_finite_difference_fallbacks_read_kernels_assigned_later():
     g = target.grad_log_joint(th)
     assert calls == {"prior": 2 * 3, "lik": 2 * 3}
     assert np.allclose(g, full.grad_log_joint(th), rtol=1e-5, atol=1e-6)
+
+
+# -- logistic kernels --------------------------------------------------------
+
+EDGE_Z = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+          1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
+          1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=500, deadline=None)
+@given(z=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example(z=EDGE_Z)
+def test_log_sigmoid_within_two_ulp_of_logaddexp(z):
+    # st.floats spans subnormals and |z| up to the largest double
+    z = np.array(z)
+    in_place = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sigmoid(z)
+        _log_sigmoid(in_place, out=in_place)
+    assert in_place.tobytes() == got.tobytes()
+    want = -np.logaddexp(0.0, -z)
+    assert np.all(got <= 0.0)
+    # both are <= 0, so the distance of their magnitudes' bit patterns counts ulps
+    ulps = np.abs(np.abs(got).view(np.int64) - np.abs(want).view(np.int64))
+    assert np.all(ulps <= 2), (z, got, want)
+
+
+def test_log_sigmoid_exact_at_infinities_and_keeps_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sigmoid(np.array([np.inf, -np.inf, np.nan]))
+    assert got[0] == 0.0 and got[1] == -np.inf and np.isnan(got[2])
+
+
+@pytest.mark.parametrize("make", [
+    logistic_regression_target,
+    lambda X, y: logistic_quadratic_bound(X, y, np.zeros(3)),
+], ids=["target", "bound"])
+@pytest.mark.parametrize("x_shape, n_labels", [((10, 3), 12), ((10, 3), 8), ((10,), 10)])
+def test_logistic_data_of_mismatched_shapes_rejected(make, x_shape, n_labels):
+    X, y = np.ones(x_shape), np.ones(n_labels)
+    with pytest.raises(ValueError, match=re.escape(f"X {x_shape} and y {(n_labels,)}")):
+        make(X, y)

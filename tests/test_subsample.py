@@ -468,3 +468,16 @@ def test_disagreement_rate_bounded_with_true_c():
     upper = beta_dist.ppf(0.99, disagreements + 1, 2000 - disagreements)
     assert upper <= 0.05
     assert np.mean(m_used) < 500
+
+
+def test_empty_target_rejected_before_any_draw():
+    target = FactoredTarget(dim=1, n_data=0, log_prior=lambda th: 0.0)
+    cfg = StopRuleConfig()
+    prop = gaussian_random_walk(0.5)
+    gen = np.random.default_rng(5)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match="n_data=0"):
+        adaptive_mh_step(target, prop, ChainState(np.zeros(1)), cfg, gen)
+    assert gen.bit_generator.state == before
+    with pytest.raises(ValueError, match="n_data=0"):
+        run_adaptive_mh(target, prop, np.zeros(1), 5, cfg, KeyedRng(1))

@@ -8,6 +8,7 @@ other range is gathered as its array and behaves as that array does.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +148,28 @@ def test_contiguous_shards_reach_the_base_kernel_as_ranges():
     parallel_log_lik(target, th, interleaved)
     assert [type(s) for s in seen] == [np.ndarray] * 3
     assert np.array_equal(seen[0], np.arange(1, 10, 2))
+
+
+@pytest.mark.parametrize("kind", ["bool_mask", "float"])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_non_integer_index_arrays_raise_index_error(name, kind):
+    # ``take`` would read a mask as the indices 0 and 1, so it is refused
+    n, kernel = KERNELS[name]
+    idx = np.arange(n) % 2 == 0 if kind == "bool_mask" else np.arange(n, dtype=float)
+    with pytest.raises(IndexError, match=f"integer dtype, got {idx.dtype}"):
+        kernel(idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(KERNELS)), data=st.data())
+def test_negative_and_repeated_indices_read_the_rows_they_wrap_to(name, data):
+    n, kernel = KERNELS[name]
+    drawn = data.draw(st.lists(st.integers(-n, n - 1), max_size=3 * n), label="idx")
+    idx = np.array(drawn + [-1, n - 1])   # -1 and n - 1 read the same row
+    got = kernel(idx)
+    wrapped = kernel(idx % n)
+    assert got.shape == wrapped.shape and got.tobytes() == wrapped.tobytes()
+    singles = [kernel(np.array([i])) for i in idx]
+    loop = np.sum(singles, axis=0) if name.endswith("dark_stat_sum") else np.concatenate(singles)
+    # summing O(1) terms in another order may cancel to near zero, hence the atol
+    np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
