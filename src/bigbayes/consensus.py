@@ -233,7 +233,8 @@ def sample_subposteriors_on_cluster(target: FactoredTarget, plan: ShardPlan,
     ``sampler(subtarget, worker_rng) -> (T, d) draws``. Shard j runs on
     worker j through ``SimCluster.map_on_workers`` (tag
     ``"consensus-sample"``), charged T times its number of data. Returns
-    (J, T, d) draws; the trace shows no inter-worker traffic.
+    (J, T, d) draws; the trace holds only the J task messages and their J
+    replies to the master, no inter-worker traffic.
     """
     J = plan.J
     if cluster.n_workers != J:

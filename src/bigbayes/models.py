@@ -43,7 +43,9 @@ def finite_difference_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # exp(-z) overflows to inf below z = -709, which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _log_sigmoid(z, out=None):

@@ -229,6 +229,8 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     ``run_mh(target, proposal, theta0, T, rng)`` for every policy ("naive",
     or "predictive" with ``constant_predictor()`` by default) and J; as in
     ``mh_step``, a non-finite speculative density is -inf, a rejection.
+    Each superstep is one ``cluster.map_on_workers`` fan-out whose replies
+    all reach the master before an ``align_clocks`` barrier.
     """
     if policy == "naive":
         if predictor is not None:

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every name it exports is defined or imported in it."""
+every name it exports is defined or imported in it. Only ``simcluster``
+sends and delivers cluster messages."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,24 @@ def test_export_checker_finds_stale_and_accepts_bound():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_defined(path):
     assert stale_exports(path.read_text()) == [], f"{path.name} exports names it never defines"
+
+
+def cluster_message_calls(source: str):
+    """Line numbers of ``.send(...)`` and ``.run_until_quiescent(...)`` calls in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("send", "run_until_quiescent"))
+
+
+def test_message_call_checker_flags_planted_calls():
+    src = ("def f(cluster, tasks):\n    cluster.map_on_workers(tasks)\n"
+           "    cluster.send(0, 1, 'x')\n    send = 2\n    cluster.run_until_quiescent()\n")
+    assert cluster_message_calls(src) == [3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "simcluster.py"],
+                         ids=lambda p: p.name)
+def test_only_simcluster_sends_messages(path):
+    # every fan-out is SimCluster.map_on_workers, the one scatter-gather
+    assert cluster_message_calls(path.read_text()) == [], (
+        f"{path.name} sends cluster messages outside map_on_workers")

@@ -291,6 +291,27 @@ def test_log_sigmoid_exact_at_infinities_and_keeps_nan():
     assert got[0] == 0.0 and got[1] == -np.inf and np.isnan(got[2])
 
 
+def test_logistic_gradient_at_huge_margins_raises_no_warning():
+    # a margin of 1000 overflows exp(z) in sigma(-z); the limit 0 is exact
+    target = logistic_regression_target(np.array([[1000.0], [-1000.0]]), np.array([1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = target.grad_log_lik_terms(np.arange(2), np.array([1.0]))
+    assert grad.tolist() == [[0.0], [-1000.0]]
+
+
+def test_logistic_gradient_bits_are_the_plain_sigmoid_formula():
+    gen = np.random.default_rng(5)
+    X = 300.0 * gen.standard_normal((50, 3))
+    y = np.where(gen.random(50) < 0.5, -1.0, 1.0)
+    th = gen.standard_normal(3)
+    z = (X @ th) * y
+    with np.errstate(over="ignore"):
+        want = X * (1.0 / (1.0 + np.exp(z)) * y)[:, None]
+    got = logistic_regression_target(X, y).grad_log_lik_terms(np.arange(50), th)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("make", [
     logistic_regression_target,
     lambda X, y: logistic_quadratic_bound(X, y, np.zeros(3)),
