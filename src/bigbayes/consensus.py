@@ -36,9 +36,20 @@ class ShardPlan:
 
     def __post_init__(self):
         shards = tuple(np.asarray(s, dtype=int) for s in self.shards)
-        seen = np.sort(np.concatenate(shards)) if shards else np.array([], int)
-        if len(seen) != self.n_data or not np.array_equal(seen, np.arange(self.n_data)):
-            raise ValueError("shards must partition 0..N-1")
+        n = self.n_data
+        seen = np.zeros(n, dtype=bool)
+        for s in shards:
+            if s.size and (s.min() < 0 or s.max() >= n):
+                bad = s[(s < 0) | (s >= n)][0]
+                raise ValueError(f"shards must partition 0..{n - 1}: index {bad} is outside it")
+            seen[s] = True
+        # n indices, all in range, cover 0..n-1 exactly when none repeats
+        if sum(len(s) for s in shards) != n or not seen.all():
+            counts = np.bincount(np.concatenate([np.zeros(0, int), *shards]), minlength=n)
+            dup = np.flatnonzero(counts > 1)
+            what = (f"index {dup[0]} is in more than one shard" if dup.size
+                    else f"index {np.flatnonzero(counts == 0)[0]} is in no shard")
+            raise ValueError(f"shards must partition 0..{n - 1}: {what}")
         object.__setattr__(self, "shards", shards)
 
     @classmethod

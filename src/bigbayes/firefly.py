@@ -87,31 +87,37 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
     """Tangent quadratic minorizer of the logistic log likelihood.
 
     log sigma(z) >= log sigma(xi) + (z - xi)/2 - lam(xi)(z^2 - xi^2) with
-    lam(xi) = tanh(xi/2) / (4 xi); tangency points are fixed at the
-    reference parameter (typically a MAP estimate), where the bound is tight.
-    log sigma(xi) is ``models._log_sigmoid``, the logistic target's own
-    log-sigmoid.
+    lam(xi) = tanh(xi/2) / (4 xi) and the margin z_n = y_n x_n . theta;
+    tangency points are fixed at the reference parameter (typically a MAP
+    estimate), where the bound is tight. log sigma(xi) is
+    ``models._log_sigmoid``, the logistic target's own log-sigmoid.
+
+    Unlike ``logistic_regression_target``, which copies the data, the bound
+    reads the caller's ``X`` and ``y`` in place (float64 arrays are not
+    copied) and stores only the N-vectors of its constants. Changing ``X``
+    or ``y`` after construction changes the bound, which then need no
+    longer lie below the likelihood.
     """
     X, y = _check_logistic_data(X, y)
     theta_ref = np.asarray(theta_ref, dtype=float)
-    A = X * y[:, None]                      # a_n = y_n x_n, z_n = a_n . theta
-    xi = np.abs(A @ theta_ref)
+    xi = np.abs(X @ theta_ref)              # |z_n| at theta_ref: y_n = +-1
     lam = np.where(xi > 1e-8, np.tanh(xi / 2.0) / (4.0 * np.where(xi > 0, xi, 1.0)), 0.125)
     log_sig_xi = _log_sigmoid(xi)
     c = log_sig_xi - xi / 2.0 + lam * xi**2
-    d = X.shape[1]
+    n, d = X.shape
 
     def log_bound_batch(idx, theta):
-        rows = _rows(idx, len(A))
-        z = _take(A, rows) @ theta
+        rows = _rows(idx, n)
+        z = (_take(X, rows) @ theta) * _take(y, rows)
         return _take(c, rows) + z / 2.0 - _take(lam, rows) * z**2
 
     def dark_stat_sum(idx):
-        # sum of [c_n, a_n/2, lam_n a_n a_n^T] in closed form: no per-datum rows
-        rows = _rows(idx, len(A))
-        a = _take(A, rows)
-        quad = (a * _take(lam, rows)[:, None]).T @ a
-        return np.concatenate([[np.sum(_take(c, rows))], np.sum(a, axis=0) / 2.0, quad.ravel()])
+        # sum of [c_n, a_n/2, lam_n a_n a_n^T] with a_n = y_n x_n, in closed
+        # form: y_n^2 = 1, so a_n a_n^T = x_n x_n^T
+        rows = _rows(idx, n)
+        x = _take(X, rows)
+        quad = (x * _take(lam, rows)[:, None]).T @ x
+        return np.concatenate([[np.sum(_take(c, rows))], _take(y, rows) @ x / 2.0, quad.ravel()])
 
     def collapsed(theta, s):
         const = s[0]
@@ -124,14 +130,24 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
 
 @dataclass
 class FireflyState:
+    """The chain's theta and brightness indicators. ``z`` is never changed
+    in place: a resample that flips an indicator makes a new array, so
+    ``bright``, the sorted bright indices (found from ``z`` when not given),
+    is read without another O(N) scan."""
+
     theta: np.ndarray
     z: np.ndarray                      # (N,) bool, True = bright
     dark_stat_sum: np.ndarray          # bound.dark_stat_sum of the dark points
     log_joint_aug: Optional[float] = None
+    bright: Optional[np.ndarray] = None    # np.flatnonzero(z)
+
+    def __post_init__(self):
+        if self.bright is None:
+            self.bright = np.flatnonzero(self.z)
 
     @property
     def bright_count(self) -> int:
-        return int(np.count_nonzero(self.z))
+        return len(self.bright)
 
 
 def _log_diff(log_l, log_b):
@@ -141,8 +157,9 @@ def _log_diff(log_l, log_b):
         return log_l + np.log(-np.expm1(diff))
 
 
-def _check_bound(log_l, log_b):
-    worst = np.max(log_b - log_l) if np.size(log_l) else 0.0
+def _check_bound(diff):
+    """Raise unless every log B - log L in ``diff`` is at most BOUND_SLACK."""
+    worst = np.max(diff) if np.size(diff) else 0.0
     if worst > BOUND_SLACK:
         raise BoundViolationError(f"lower bound exceeds likelihood by {worst:.3e}")
 
@@ -157,8 +174,10 @@ def _brightness_probs(idx, theta, target, bound):
     """(P(z = 1 | theta), log L, log B) at the terms ``idx``."""
     log_l = target.log_lik_terms(idx, theta)
     log_b = bound.log_bound_batch(idx, theta)
-    _check_bound(log_l, log_b)
-    return np.clip(-np.expm1(np.minimum(log_b - log_l, 0.0)), 0.0, 1.0), log_l, log_b
+    diff = log_b - log_l
+    _check_bound(diff)
+    # -expm1 of a value <= 0 lies in [0, 1), so no clip is needed; NaN stays NaN
+    return -np.expm1(np.minimum(diff, 0.0)), log_l, log_b
 
 
 def init_firefly(target, bound, theta0, rng: np.random.Generator,
@@ -173,19 +192,20 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
     else:
         raise ValueError(f"unknown init {init!r}")
     # the full-data sum reads the data as views; the bright set is small
-    dark_sum = bound.dark_stat_sum(target.all_indices()) - bound.dark_stat_sum(np.flatnonzero(z))
-    return FireflyState(theta=theta0.copy(), z=z, dark_stat_sum=dark_sum)
+    bright = np.flatnonzero(z)
+    dark_sum = bound.dark_stat_sum(target.all_indices()) - bound.dark_stat_sum(bright)
+    return FireflyState(theta=theta0.copy(), z=z, dark_stat_sum=dark_sum, bright=bright)
 
 
 def flymc_log_joint(state: FireflyState, target, bound) -> float:
     """Augmented log joint; likelihood terms touched only for bright points."""
     theta = state.theta
-    bright = np.flatnonzero(state.z)
+    bright = state.bright
     val = float(target.log_prior(theta))
     if len(bright):
         log_l = target.log_lik_terms(bright, theta)
         log_b = bound.log_bound_batch(bright, theta)
-        _check_bound(log_l, log_b)
+        _check_bound(log_b - log_l)
         val += float(np.sum(_log_diff(log_l, log_b)))
     val += bound.collapsed_log_product(theta, state.dark_stat_sum)
     return val
@@ -196,7 +216,8 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     """Redraw a random ceil(rho_z N) subset of indicators at the current theta.
 
     Returns (state', n_likelihood_evals). The dark statistic aggregate and
-    the cached augmented log joint are updated incrementally.
+    the cached augmented log joint are updated incrementally; ``z`` is
+    copied and the bright indices found again only when an indicator flips.
     """
     if not 0.0 < rho_z <= 1.0:
         raise ValueError("rho_z must lie in (0, 1]")
@@ -207,9 +228,8 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     probs, log_l, log_b = _brightness_probs(idx, theta, target, bound)
     new_z = rng.random(k) < probs
 
-    z = state.z.copy()
-    old_z = z[idx]
-    changed = old_z != new_z
+    z, bright = state.z, state.bright
+    changed = z[idx] != new_z
     stat_sum = state.dark_stat_sum
     lj = state.log_joint_aug
     if np.any(changed):
@@ -223,9 +243,11 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
             lj = lj + float(np.sum(np.where(to_bright,
                                             contrib_bright - contrib_dark,
                                             contrib_dark - contrib_bright)))
+        z = z.copy()
         z[idx] = new_z
+        bright = np.flatnonzero(z)
     return FireflyState(theta=theta.copy(), z=z, dark_stat_sum=stat_sum,
-                        log_joint_aug=lj), k
+                        log_joint_aug=lj, bright=bright), k
 
 
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
@@ -240,15 +262,15 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
     theta = state.theta
     theta_new, u = mh_propose(proposal, theta, rng_mh)
     prop_state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
-                              dark_stat_sum=state.dark_stat_sum)
+                              dark_stat_sum=state.dark_stat_sum, bright=state.bright)
     evals = state.bright_count
     lj_new = _finite_or_neginf(lambda s: flymc_log_joint(s, target, bound), prop_state)
     log_alpha = mh_log_alpha(lj_new - state.log_joint_aug, proposal, theta, theta_new)
     accepted = math.log(u) < log_alpha
     if accepted:
-        state = FireflyState(theta=np.asarray(theta_new, float), z=state.z.copy(),
+        state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
                              dark_stat_sum=state.dark_stat_sum,
-                             log_joint_aug=lj_new)
+                             log_joint_aug=lj_new, bright=state.bright)
     state, k = resample_brightness(state, target, bound, rho_z, rng_z)
     return state, accepted, evals + k
 
@@ -281,6 +303,8 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
 
 def check_coherence(state: FireflyState, target, bound, atol: float = 1e-8):
     """Debug invariant: the dark aggregate equals a fresh sum over dark points."""
+    if not np.array_equal(state.bright, np.flatnonzero(state.z)):
+        raise AssertionError(f"bright index cache incoherent: {state.bright}")
     fresh = bound.dark_stat_sum(np.flatnonzero(~state.z))
     if not np.allclose(fresh, state.dark_stat_sum, atol=atol, rtol=1e-8):
         raise AssertionError(

@@ -91,22 +91,28 @@ def _rows(idx, n: int):
     return rows
 
 
-def _take(a: np.ndarray, rows) -> np.ndarray:
-    """The rows ``rows`` (from ``_rows``) of ``a``: a view for a slice,
-    else ``a.take(rows, axis=0)``, which gathers the rows of a 2-D array
-    several times faster than ``a[rows]``. Negative and out-of-range
+def _take(a: np.ndarray, rows, axis: int = 0) -> np.ndarray:
+    """The entries ``rows`` (from ``_rows``) of ``a`` along ``axis`` (0 or
+    1): a view for a slice, else ``a.take(rows, axis=axis)``, which gathers
+    several times faster than fancy indexing. Negative and out-of-range
     indices behave as in ``a[rows]``.
     """
-    return a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
+    if isinstance(rows, slice):
+        return a[rows] if axis == 0 else a[:, rows]
+    return a.take(rows, axis=axis)
 
 
 def _check_logistic_data(X, y):
-    """``X`` and ``y`` as float arrays of shapes (N, d) and (N,)."""
+    """``X`` and ``y`` as float arrays of shapes (N, d) and (N,), with
+    every label in {-1, +1}."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValueError(
             f"need X of shape (N, d) and y of shape (N,), got X {X.shape} and y {y.shape}")
+    bad = np.flatnonzero(np.abs(y) != 1.0)
+    if bad.size:
+        raise ValueError(f"labels must be in {{-1,+1}}, got y[{bad[0]}] = {y[bad[0]]}")
     return X, y
 
 
@@ -133,7 +139,10 @@ class FactoredTarget:
     which is ``range(n_data)``, and the shipped kernels read a unit-step
     range inside 0..N as a slice, a view with no copy. They gather any
     other batch with ``take`` and raise IndexError for an index array whose
-    dtype is not integer, a boolean mask included.
+    dtype is not integer, a boolean mask included. The logistic target keeps
+    its data as label-signed columns, a C-contiguous (d, N) array, so a
+    batch is a block of columns and its margins are one vector-matrix
+    product over d contiguous rows; the Gaussian targets read rows.
     """
 
     dim: int
@@ -242,11 +251,18 @@ def gaussian_iid_posterior(xs, prior_var: float = 1.0, lik_var: float = 1.0):
 
 
 def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarget:
-    """Bayesian logistic regression with labels in {-1,+1} and N(0, s^2 I) prior."""
+    """Bayesian logistic regression with labels in {-1,+1} and N(0, s^2 I) prior.
+
+    The target copies the data once, into the C-contiguous (d, N) array
+    ``AT`` whose column n is a_n = y_n x_n, so the margin of datum n is
+    z_n = theta . a_n and its log-likelihood term log sigma(z_n). It keeps
+    no reference to the caller's ``X`` or ``y``: changing them afterwards
+    does not change the target.
+    """
     X, y = _check_logistic_data(X, y)
-    if set(np.unique(y)) - {-1.0, 1.0}:
-        raise ValueError("labels must be in {-1,+1}")
     n, d = X.shape
+    AT = np.empty((d, n))
+    np.multiply(X.T, y, out=AT)
     inv_var = 1.0 / prior_scale ** 2
 
     def log_prior(th):
@@ -256,15 +272,12 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
         return -inv_var * th
 
     def log_lik_terms(idx, th):
-        rows = _rows(idx, n)
-        z = (_take(X, rows) @ th) * _take(y, rows)
+        z = th @ _take(AT, _rows(idx, n), axis=1)
         return _log_sigmoid(z, out=z)
 
     def grad_log_lik_terms(idx, th):
-        rows = _rows(idx, n)
-        Xr, yr = _take(X, rows), _take(y, rows)
-        z = (Xr @ th) * yr
-        return Xr * (_sigmoid(-z) * yr)[:, None]
+        a = _take(AT, _rows(idx, n), axis=1)
+        return (a * _sigmoid(-(th @ a))).T
 
     return FactoredTarget(
         dim=d,

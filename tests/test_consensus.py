@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,27 @@ def test_shard_plan_validates_partition():
         ShardPlan(4, (np.array([0, 1]), np.array([1, 2, 3])))
     plan = ShardPlan.contiguous(10, 3)
     assert plan.J == 3
+
+
+@pytest.mark.parametrize("n, shards, what", [
+    (6, ([0, 1], [2, 3]), "index 4 is in no shard"),
+    (4, ([0, 1], [1, 2, 3]), "index 1 is in more than one shard"),
+    (5, ([4, 3, 3], [0, 1, 2, 0]), "index 0 is in more than one shard"),
+    (4, ([0, 3], [1, 1]), "index 1 is in more than one shard"),
+    (4, ([0, 1], [5, 2, 3]), "index 5 is outside it"),
+    (4, ([0, 1, 2, 3], [-1]), "index -1 is outside it"),
+    (3, (), "index 0 is in no shard"),
+])
+def test_shard_plan_names_the_first_bad_index(n, shards, what):
+    with pytest.raises(ValueError, match=re.escape(f"shards must partition 0..{n - 1}: {what}")):
+        ShardPlan(n, tuple(np.array(s, dtype=int) for s in shards))
+
+
+def test_shard_plan_accepts_any_partition():
+    perm = np.random.default_rng(0).permutation(1000)
+    plan = ShardPlan(1000, (perm[:10], perm[10:600], np.array([], dtype=int), perm[600:]))
+    assert plan.J == 4
+    assert ShardPlan(0, ()).J == 0
 
 
 def test_single_shard_subposterior_is_full_posterior():

@@ -219,6 +219,33 @@ def test_incremental_dark_stats_match_recompute_logistic():
     assert flips > 0
 
 
+def test_resample_never_changes_indicators_in_place():
+    # a state's bright indices are computed once from z, so z must stay put;
+    # a resample that flips nothing hands on the same arrays
+    rng = np.random.default_rng(34)
+    n, d = 200, 3
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, np.zeros(d))
+    state = init_firefly(target, bound, np.full(d, 0.5), rng)
+    kept = flipped = 0
+    for _ in range(40):
+        before, z_before = state, state.z.copy()
+        state, _ = resample_brightness(state, target, bound, 0.05, rng)
+        assert np.array_equal(before.z, z_before)
+        assert np.array_equal(state.bright, np.flatnonzero(state.z))
+        if np.array_equal(state.z, z_before):
+            assert state.z is before.z and state.bright is before.bright
+            kept += 1
+        else:
+            flipped += 1
+    assert kept and flipped and state.bright.size
+    state.z[state.bright[:1]] = False
+    with pytest.raises(AssertionError, match="bright index cache incoherent"):
+        check_coherence(state, target, bound)
+
+
 def test_init_firefly_never_holds_per_datum_stat_rows():
     # per-datum statistic rows would take N (1 + d + d^2) 8 bytes; the
     # closed-form sum needs a few length-N vectors and one (N, d) product

@@ -1,12 +1,16 @@
+import gc
 import re
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bigbayes.firefly import logistic_quadratic_bound
+from bigbayes.consensus import ShardPlan, subposterior_target
+from bigbayes.firefly import BOUND_SLACK, logistic_quadratic_bound
 from bigbayes.models import (
     FactoredTarget,
     GaussianModelSpec,
@@ -305,7 +309,9 @@ def test_logistic_gradient_bits_are_the_plain_sigmoid_formula():
     X = 300.0 * gen.standard_normal((50, 3))
     y = np.where(gen.random(50) < 0.5, -1.0, 1.0)
     th = gen.standard_normal(3)
-    z = (X @ th) * y
+    # the target reads label-signed columns, a C-contiguous (d, N) array, and
+    # a vector-matrix product over it rounds differently from X @ th
+    z = th @ np.ascontiguousarray((X * y[:, None]).T)
     with np.errstate(over="ignore"):
         want = X * (1.0 / (1.0 + np.exp(z)) * y)[:, None]
     got = logistic_regression_target(X, y).grad_log_lik_terms(np.arange(50), th)
@@ -321,3 +327,134 @@ def test_logistic_data_of_mismatched_shapes_rejected(make, x_shape, n_labels):
     X, y = np.ones(x_shape), np.ones(n_labels)
     with pytest.raises(ValueError, match=re.escape(f"X {x_shape} and y {(n_labels,)}")):
         make(X, y)
+
+
+@pytest.mark.parametrize("make", [
+    logistic_regression_target,
+    lambda X, y: logistic_quadratic_bound(X, y, np.zeros(3)),
+], ids=["target", "bound"])
+@pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, np.nan])
+def test_logistic_labels_outside_plus_minus_one_rejected_naming_the_first(make, bad):
+    y = np.ones(10)
+    y[[3, 7]] = -1.0
+    y[[4, 8]] = bad
+    with pytest.raises(ValueError, match=re.escape(f"got y[4] = {bad}")):
+        make(np.ones((10, 3)), y)
+
+
+# -- the logistic kernels against the row-major formulas --------------------
+
+def _huge_margin_data(d, n=12_000):
+    """Logistic data with every tenth row scaled up so that about a tenth of
+    the margins lie beyond +-709, where exp(-|z|) is subnormal or zero."""
+    gen = np.random.default_rng(d)
+    X = gen.standard_normal((n, d))
+    X[::10] *= 2000.0
+    y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+    th = gen.standard_normal(d)
+    z = y * (X @ th)
+    assert np.sum(z > 709) > n // 50 and np.sum(z < -709) > n // 50
+    return X, y, th
+
+
+def _plain_terms(X, y, th):
+    return -np.logaddexp(0.0, -y * (X @ th))
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_logistic_kernels_match_the_row_major_formulas(d):
+    X, y, th = _huge_margin_data(d)
+    n = len(y)
+    target = logistic_regression_target(X, y)
+    want = _plain_terms(X, y, th)
+    # every datum's term, then the sum the exact samplers read
+    assert_close = lambda got, w: np.testing.assert_allclose(got, w, rtol=1e-12, atol=0.0)
+    assert_close(target.log_lik_terms(range(n), th), want)
+    assert_close(target.log_likelihood(th), np.sum(want))
+    gen = np.random.default_rng(d)
+    gathers = [gen.integers(-n, n, 3000), gen.permutation(n)[:500], np.array([7]),
+               np.arange(n - 1, -1, -3)]
+    for idx in gathers:
+        assert_close(target.log_lik_terms(idx, th), want[idx])
+    for r in (range(100, 4100), range(n - 1, n), range(0, n, 7), range(-5, 5)):
+        assert_close(target.log_lik_terms(r, th), want[np.arange(r.start, r.stop, r.step)])
+    plan = ShardPlan.contiguous(n, 3)
+    for j, shard in enumerate(plan.shards):
+        sub = subposterior_target(target, plan, j)
+        assert_close(sub.log_lik_terms(sub.all_indices(), th), want[shard])
+        assert_close(sub.log_likelihood(th), np.sum(want[shard]))
+    for empty in (np.array([], dtype=int), range(0), range(5, 5)):
+        assert target.log_lik_terms(empty, th).shape == (0,)
+        assert target.grad_log_lik_terms(empty, th).shape == (0, d)
+
+    # gradients: a_n sigma(-z_n) per datum, X^T (y sigma(-z)) summed; subnormal
+    # sigma(-z) (z in about 708..745) keeps fewer digits, hence the tiny atol
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(y * (X @ th)))
+    per_datum = X * (y * s)[:, None]
+    got = target.grad_log_lik_terms(range(n), th)
+    np.testing.assert_allclose(got, per_datum, rtol=1e-12, atol=1e-300)
+    idx = gathers[0]
+    np.testing.assert_allclose(target.grad_log_lik_terms(idx, th), per_datum[idx],
+                               rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(np.sum(got, axis=0), X.T @ (y * s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_logistic_bound_is_tight_against_the_target_on_every_datum(d):
+    # the bound computes margins from X and y, the target from its own
+    # label-signed columns; at theta_ref both must agree to within the slack
+    X, y, th = _huge_margin_data(d)
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, th)
+    every = range(len(y))
+    gap = bound.log_bound_batch(every, th) - target.log_lik_terms(every, th)
+    assert np.max(np.abs(gap)) <= BOUND_SLACK
+    idx = np.random.default_rng(d).permutation(len(y))[:2000]
+    assert np.max(bound.log_bound_batch(idx, th) - target.log_lik_terms(idx, th)) <= BOUND_SLACK
+
+
+# -- what the logistic kernels keep in memory --------------------------------
+
+def _retained_bytes(build):
+    """Bytes still allocated after ``build()`` returns, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        obj = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, obj
+    finally:
+        tracemalloc.stop()
+
+
+def test_logistic_target_keeps_one_copy_of_the_data_and_not_the_callers():
+    n, d = 20_000, 5
+    gen = np.random.default_rng(1)
+    X = gen.standard_normal((n, d))
+    y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+    X_ref, y_ref = weakref.ref(X), weakref.ref(y)
+    retained, target = _retained_bytes(lambda: logistic_regression_target(X, y))
+    assert d * n * 8 <= retained < d * n * 8 + 64 * 1024
+    th = gen.standard_normal(d)
+    before = target.log_likelihood(th)
+    X[:] = 0.0
+    assert target.log_likelihood(th) == before
+    del X, y
+    gc.collect()
+    assert X_ref() is None and y_ref() is None
+
+
+def test_logistic_bound_reads_the_callers_data_in_place():
+    n, d = 20_000, 5
+    gen = np.random.default_rng(2)
+    X = gen.standard_normal((n, d))
+    y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+    th = gen.standard_normal(d)
+    # c and lam, the bound's N-vectors, and nothing of size N x d
+    retained, bound = _retained_bytes(lambda: logistic_quadratic_bound(X, y, th))
+    assert retained <= 3 * n * 8
+    before = bound.log_bound_batch(np.arange(3), th)
+    X[:3] *= 2.0
+    assert not np.array_equal(bound.log_bound_batch(np.arange(3), th), before)
