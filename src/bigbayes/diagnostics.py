@@ -30,6 +30,8 @@ def _chain_matrix(chains) -> np.ndarray:
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 2:
         raise ValueError("chains must be a (S, T) array of scalar statistics")
+    if arr.shape[0] < 2 or arr.shape[1] < 2:
+        raise ValueError(f"need at least 2 chains of length 2, got (S, T) = {arr.shape}")
     return arr
 
 
@@ -43,12 +45,8 @@ def _b_w_nu(arr):
 
 
 def rhat(chains) -> float:
-    """Potential scale reduction sqrt(nu/W) across S >= 2 chains."""
-    arr = _chain_matrix(chains)
-    S, T = arr.shape
-    if S < 2 or T < 2:
-        raise ValueError("need at least 2 chains of length 2")
-    B, W, nu = _b_w_nu(arr)
+    """Potential scale reduction sqrt(nu/W) across S >= 2 chains of T >= 2."""
+    B, W, nu = _b_w_nu(_chain_matrix(chains))
     if W == 0.0:
         raise ValueError("degenerate chains: within-chain variance is zero")
     return float(np.sqrt(nu / W))
@@ -57,8 +55,8 @@ def rhat(chains) -> float:
 def n_eff(chains):
     """Effective number of samples S*T*nu/B, capped at S*T.
 
-    Returns (value, capped). B = 0 (identical chain means) yields the cap
-    with the degenerate flag set.
+    Returns (value, capped), for S >= 2 chains of T >= 2. B = 0 (identical
+    chain means) yields the cap with the degenerate flag set.
     """
     arr = _chain_matrix(chains)
     S, T = arr.shape
@@ -79,6 +77,8 @@ def asymptotic_variance(samples) -> float:
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
+    if n == 0:
+        raise ValueError(f"need at least one sample, got size {n}")
     x = x - x.mean()
     c0 = float(x @ x) / n
     if c0 == 0.0:

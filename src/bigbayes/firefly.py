@@ -11,11 +11,12 @@ posterior.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mcmc import ProposalDist, _finite_or_neginf, mh_log_alpha, mh_propose, run_chain
+from .mcmc import ChainState, ProposalDist, mh_step, run_chain
 from .models import FactoredTarget, _check_logistic_data, _log_sigmoid, _rows, _take
 from .rng import KeyedRng
 
@@ -253,26 +254,19 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
                rho_z: float, rng_mh: np.random.Generator,
                rng_z: np.random.Generator):
-    """One MH update of theta under the augmented joint (drawing from
-    ``rng_mh`` by ``mcmc.mh_propose``; as in ``mh_step``, a non-finite
-    density at the proposal rejects), then a brightness resample from
-    ``rng_z``; returns (state', accepted, n_likelihood_evals)."""
-    if state.log_joint_aug is None:
-        state.log_joint_aug = flymc_log_joint(state, target, bound)
-    theta = state.theta
-    theta_new, u = mh_propose(proposal, theta, rng_mh)
-    prop_state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
-                              dark_stat_sum=state.dark_stat_sum, bright=state.bright)
-    evals = state.bright_count
-    lj_new = _finite_or_neginf(lambda s: flymc_log_joint(s, target, bound), prop_state)
-    log_alpha = mh_log_alpha(lj_new - state.log_joint_aug, proposal, theta, theta_new)
-    accepted = math.log(u) < log_alpha
-    if accepted:
-        state = FireflyState(theta=np.asarray(theta_new, float), z=state.z,
-                             dark_stat_sum=state.dark_stat_sum,
-                             log_joint_aug=lj_new, bright=state.bright)
+    """One ``mcmc.mh_step`` on theta under the augmented joint at fixed
+    brightness (drawing from ``rng_mh``), then a brightness resample from
+    ``rng_z``; returns (state', accepted, n_likelihood_evals). The caller's
+    ``state`` is not modified."""
+    z, dark, bright = state.z, state.dark_stat_sum, state.bright
+    augmented = SimpleNamespace(log_joint=lambda th: flymc_log_joint(
+        FireflyState(th, z, dark, bright=bright), target, bound))
+    moved, accepted, _ = mh_step(augmented, proposal,
+                                 ChainState(state.theta, log_joint=state.log_joint_aug), rng_mh)
+    state = FireflyState(theta=np.asarray(moved.theta, float), z=z, dark_stat_sum=dark,
+                         log_joint_aug=moved.log_joint, bright=bright)
     state, k = resample_brightness(state, target, bound, rho_z, rng_z)
-    return state, accepted, evals + k
+    return state, accepted, len(bright) + k
 
 
 def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,

@@ -5,10 +5,12 @@ proposal recursion, finite-space detailed balance checking, and the fixed
 tree-order parallel likelihood reduction.
 
 All densities are handled in log space and acceptance is decided via
-``log u < log alpha``. Every exact or subsampled MH sampler draws its
-(theta', u) pair with ``mh_propose`` (the draw-order contract is stated
-there), forms log alpha with ``mh_log_alpha`` and runs its T steps with
-``run_chain``.
+``log u < log alpha``. ``mh_step`` is the one full MH transition: exact MH,
+FlyMC's theta-move on its augmented joint and the Weierstrass xi-chains all
+take it. Its parts, ``mh_propose`` (the draw-order contract is stated there)
+and ``mh_log_alpha``, are composed apart only where the split is by design:
+``prefetch`` evaluates densities on workers and ``subsample`` tests against
+a threshold. Chain drivers run their T steps with ``run_chain``.
 """
 
 import math
@@ -237,7 +239,9 @@ def mc_estimate(buffer, f: Callable, policy: str = "last_half") -> float:
 # ---------------------------------------------------------------------------
 
 def adaptation_rate(t: int, alpha: float = 0.6) -> float:
-    """Schedule gamma_t = t^-alpha, alpha in [1/2, 1)."""
+    """Schedule gamma_t = t^-alpha for steps t >= 1, alpha in [1/2, 1)."""
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got t={t}")
     if not 0.5 <= alpha < 1.0:
         raise ValueError("alpha must lie in [1/2, 1)")
     return float(t) ** -alpha

@@ -63,9 +63,8 @@ class SpecTree:
         self.nodes: Dict[str, _Node] = {}
         self.us: Dict[int, float] = {}
         self._next_uid = 0
-        self.evaluated_uids = set()
-        self.used_uids = set()
-        self.discarded_uids = set()
+        # evaluated nodes not yet used or dropped with their subtree
+        self.unresolved_uids = set()
 
     # -- state materialization -------------------------------------------------
 
@@ -121,7 +120,7 @@ class SpecTree:
             taken = self.nodes["1"]
             self.root_theta = taken.theta
             self.root_lj = taken.lj
-            self.used_uids.add(taken.uid)
+            self.unresolved_uids.discard(taken.uid)
         survivors = {}
         for key, node in self.nodes.items():
             if key == bit and bit == "1":
@@ -130,8 +129,7 @@ class SpecTree:
                 node.key = key[1:]
                 survivors[node.key] = node
             else:
-                if node.uid in self.evaluated_uids:
-                    self.discarded_uids.add(node.uid)
+                self.unresolved_uids.discard(node.uid)
         self.nodes = survivors
         self.us.pop(self.steps_done, None)
         self.steps_done += 1
@@ -270,7 +268,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
         cluster.align_clocks()
         for node, lj in zip(nodes, ljs):
             node.lj = lj
-            tree.evaluated_uids.add(node.uid)
+            tree.unresolved_uids.add(node.uid)
         evals += len(nodes)
         supersteps += 1
         for theta, accepted in tree.resolve_ready_steps():
@@ -281,8 +279,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
 
     # work conservation: every evaluated node was used, discarded with its
     # subtree, or is still live in the tree
-    live = {n.uid for n in tree.nodes.values()}
-    leaked = tree.evaluated_uids - tree.used_uids - tree.discarded_uids - live
+    leaked = tree.unresolved_uids - {n.uid for n in tree.nodes.values()}
     if leaked:
         raise AssertionError(f"evaluated nodes leaked: {sorted(leaked)}")
 

@@ -11,12 +11,12 @@ true posterior. On a ``SimCluster`` each round's xi updates are one
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mcmc import (SampleBuffer, _finite_or_neginf, gaussian_random_walk, mh_log_alpha,
-                   mh_propose)
+from .mcmc import ChainState, SampleBuffer, gaussian_random_walk, mh_step
 from .rng import KeyedRng
 from .simcluster import SimCluster
 
@@ -57,8 +57,9 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
 
     ``subposterior`` is either a tuple (mu, cov) of an analytic Gaussian
     f_j, in which case the conditional is drawn exactly, or a callable
-    log f_j(xi) advanced by ``inner_steps`` random-walk MH steps of scale
-    min(h), where a non-finite density at a proposal rejects.
+    log f_j(xi), in which case xi_j takes ``inner_steps`` ``mcmc.mh_step``
+    moves on log f_j(xi) - |(xi - theta)/h|^2 / 2 with a random walk of scale
+    min(h), all drawn from ``rng``.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -71,20 +72,13 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
         cond_cov = np.linalg.inv(prec)
         cond_mu = cond_cov @ (np.linalg.inv(cov) @ mu + theta / h**2)
         return rng.multivariate_normal(cond_mu, cond_cov, method="cholesky")
-    log_f = subposterior
-    xi = state.xi[j].copy()
+    coupled = SimpleNamespace(log_joint=lambda x: float(subposterior(x))
+                              - 0.5 * float(np.sum((x - theta) ** 2 / h**2)))
     walk = gaussian_random_walk(float(np.min(h)))
-
-    def log_target(x):
-        return float(log_f(x)) - 0.5 * float(np.sum((x - theta) ** 2 / h**2))
-
-    current = log_target(xi)
+    chain = ChainState(state.xi[j].copy())
     for _ in range(inner_steps):
-        prop, u = mh_propose(walk, xi, rng)
-        cand = _finite_or_neginf(log_target, prop)
-        if math.log(u) < mh_log_alpha(cand - current, walk, xi, prop):
-            xi, current = prop, cand
-    return xi
+        chain = mh_step(coupled, walk, chain, rng)[0]
+    return chain.theta
 
 
 def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,

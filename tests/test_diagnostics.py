@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ def test_n_eff_hand_example():
     assert not capped
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 5)])
+def test_chain_diagnostics_need_two_chains_of_two(shape):
+    for diagnostic in (rhat, n_eff):
+        with pytest.raises(ValueError, match=re.escape(f"(S, T) = {shape}")):
+            diagnostic(np.zeros(shape))
+
+
 def test_n_eff_iid_near_total():
     rng = np.random.default_rng(3)
     S, T = 4, 10**4
@@ -101,6 +110,12 @@ def test_negative_lag1_reduces_variance():
     assert asymptotic_variance(x) == pytest.approx(
         (1 - 0.45) / (1 + 0.45) * np.var(x), rel=0.2
     )
+
+
+def test_no_samples_is_an_error_naming_the_size():
+    for estimate in (asymptotic_variance, mcmc_se):
+        with pytest.raises(ValueError, match="size 0"):
+            estimate([])
 
 
 def test_mcmc_se_shrinks_with_length():

@@ -21,7 +21,7 @@ from bigbayes.firefly import (
     run_flymc,
     scaled_gaussian_bound,
 )
-from bigbayes.mcmc import gaussian_random_walk, run_mh
+from bigbayes.mcmc import ProposalDist, gaussian_random_walk, run_mh
 from bigbayes.models import (
     gaussian_iid_posterior,
     gaussian_iid_target,
@@ -335,6 +335,24 @@ def test_tight_bound_reproduces_plain_mh_decisions():
     prop = gaussian_random_walk(0.3)
     buf_fly, _ = run_flymc(target, bound, prop, np.zeros(1), 300, 0.1, KeyedRng(9))
     buf_mh = run_mh(target, prop, np.zeros(1), 300, KeyedRng(9))
+    assert np.array_equal(buf_fly.accept_flags, buf_mh.accept_flags)
+    assert np.allclose(buf_fly.draws, buf_mh.draws)
+
+
+def test_tight_bound_reproduces_plain_mh_with_asymmetric_proposal():
+    # the Hastings term enters the augmented move as it does plain MH
+    _, target, bound = gaussian_setup(n=50, delta=0.0)
+
+    def sample(theta, rng):
+        return 0.7 * theta + 0.4 * rng.standard_normal(theta.shape)
+
+    def log_density(new, old):
+        return float(-0.5 * np.sum(((np.asarray(new) - 0.7 * np.asarray(old)) / 0.4) ** 2))
+
+    prop = ProposalDist(sample=sample, log_density=log_density, is_symmetric=False)
+    buf_fly, _ = run_flymc(target, bound, prop, np.zeros(1), 300, 0.1, KeyedRng(19))
+    buf_mh = run_mh(target, prop, np.zeros(1), 300, KeyedRng(19))
+    assert 0.0 < buf_mh.acceptance_rate < 1.0
     assert np.array_equal(buf_fly.accept_flags, buf_mh.accept_flags)
     assert np.allclose(buf_fly.draws, buf_mh.draws)
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, and
 every name it exports is defined or imported in it. Only ``simcluster``
-sends and delivers cluster messages."""
+sends and delivers cluster messages, and only ``mcmc``, ``prefetch`` and
+``subsample`` use the parts of the MH transition."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,41 @@ def test_only_simcluster_sends_messages(path):
     # every fan-out is SimCluster.map_on_workers, the one scatter-gather
     assert cluster_message_calls(path.read_text()) == [], (
         f"{path.name} sends cluster messages outside map_on_workers")
+
+
+MH_PARTS = {"mh_propose", "mh_log_alpha", "_finite_or_neginf"}
+# prefetch evaluates densities on workers and subsample tests a threshold,
+# so both compose the parts of the MH transition apart
+MH_PART_USERS = {"mcmc.py", "prefetch.py", "subsample.py"}
+
+
+def mh_part_references(source: str):
+    """(line, name) of every import, name or attribute in ``source`` that is an MH part."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        refs.update((node.lineno, name) for name in names if name in MH_PARTS)
+    return sorted(refs)
+
+
+def test_mh_part_checker_flags_planted_references():
+    src = ("from .mcmc import mh_step, mh_propose as draw\nfrom . import mcmc\n"
+           "def f(p, g):\n    a = mcmc.mh_log_alpha(0.0, p, 1, 2)\n"
+           "    return _finite_or_neginf(f, a), draw(p, 0, g), mh_step\n")
+    assert mh_part_references(src) == [(1, "mh_propose"), (4, "mh_log_alpha"),
+                                       (5, "_finite_or_neginf")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in MH_PART_USERS],
+                         ids=lambda p: p.name)
+def test_only_split_samplers_use_mh_parts(path):
+    # every other MH move is a whole mcmc.mh_step
+    assert mh_part_references(path.read_text()) == [], (
+        f"{path.name} composes MH parts instead of calling mcmc.mh_step")

@@ -341,7 +341,10 @@ def test_gamma_out_of_range_rejected():
 def test_adaptation_rate_domain():
     with pytest.raises(ValueError):
         adaptation_rate(3, alpha=0.4)
+    with pytest.raises(ValueError, match="t=0"):
+        adaptation_rate(0)
     assert adaptation_rate(4, alpha=0.5) == pytest.approx(0.5)
+    assert adaptation_rate(1) == 1.0
 
 
 def test_stochastic_approximation_consistency():

@@ -330,3 +330,21 @@ def test_naive_policy_rejects_a_predictor():
                      KeyedRng(0), policy="naive", predictor=constant_predictor(0.3),
                      cluster=cluster)
     assert cluster.total_charged == 0
+
+
+def test_leak_check_catches_a_dropped_evaluated_node(monkeypatch):
+    # a promotion that loses one evaluated survivor without using or discarding it
+    promote = SpecTree._promote
+    dropped = []
+
+    def leaky_promote(tree, bit):
+        promote(tree, bit)
+        evaluated = [key for key, node in tree.nodes.items() if node.lj is not None]
+        if evaluated and not dropped:
+            dropped.append(tree.nodes.pop(evaluated[0]).uid)
+
+    monkeypatch.setattr(SpecTree, "_promote", leaky_promote)
+    with pytest.raises(AssertionError, match="evaluated nodes leaked") as err:
+        prefetch_run(std_normal_target(), gaussian_random_walk(1.0), np.zeros(1), 50, 4,
+                     KeyedRng(5))
+    assert str(err.value) == f"evaluated nodes leaked: {dropped}"
