@@ -193,6 +193,14 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
     The product mixture has T^J components indexed by (t_1..t_J); each
     Gibbs update resamples one index from its T unnormalized weights, and a
     draw from the selected component product is emitted per sweep.
+
+    With S the sum of the other shards' selected centres, candidate t of
+    shard j has log weight
+    -[(1 - 1/J) x_t^2 - (2/J) x_t . S] / (2 h^2) = a_t + B_t . S, where
+    a_t = -(1 - 1/J) (x_t^2 . h^-2) / 2 and B_t = x_t h^-2 / J are fixed for
+    the call, so an update is one matrix-vector product. The index is drawn
+    as ``Generator.choice(T, p=w)`` draws it, by inverting the normalized
+    cumulative weights at one ``rng.random()``, without its validation.
     """
     arr = _as_draws_array(draws)
     J, T, d = arr.shape
@@ -203,37 +211,38 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
     if np.any(h <= 0):
         raise ValueError("bandwidth must be positive")
     inv_h2 = 1.0 / h**2
+    a = -0.5 * (1.0 - 1.0 / J) * (arr**2 @ inv_h2)     # (J, T)
+    B = arr * (inv_h2 / J)                              # (J, T, d)
+    others = [np.delete(np.arange(J), j) for j in range(J)]
 
     idx = rng.integers(0, T, size=J)
+    centers = arr[np.arange(J), idx, :]                 # (J, d) selected atoms
     out = np.empty((n_out, d))
     visited = np.empty((n_out, J), dtype=int)
     for s in range(n_out):
         for j in range(J):
-            others = np.delete(np.arange(J), j)
-            sum_others = arr[others, idx[others], :].sum(axis=0)
-            x = arr[j]  # (T, d) candidate atoms
-            # weight of candidate t: exp{-[(1-1/J) x_t^2 - (2/J) x_t . S] / (2h^2)}
-            quad = (1.0 - 1.0 / J) * x**2 - (2.0 / J) * x * sum_others[None, :]
-            logw = -0.5 * (quad * inv_h2[None, :]).sum(axis=1)
-            logw -= logw.max()
-            w = np.exp(logw)
+            w = a[j] + B[j] @ centers[others[j]].sum(axis=0)
+            w -= w.max()
+            np.exp(w, out=w)
             tot = w.sum()
-            if not np.isfinite(tot) or tot <= 0:
+            if not math.isfinite(tot) or tot <= 0:
                 raise FloatingPointError(
                     "all KDE component weights underflowed; increase the bandwidth h"
                 )
-            idx[j] = rng.choice(T, p=w / tot)
+            w /= tot
+            cdf = w.cumsum()
+            cdf /= cdf[-1]
+            idx[j] = cdf.searchsorted(rng.random(), side="right")
+            centers[j] = arr[j, idx[j]]
         visited[s] = idx
-        centers = arr[np.arange(J), idx, :]
+        mean = centers.mean(axis=0)
         # degenerate product: even the selected component's weight underflows
-        state_logw = -0.5 * float(
-            (((centers - centers.mean(axis=0)) ** 2) * inv_h2[None, :]).sum()
-        )
+        state_logw = -0.5 * float((((centers - mean) ** 2) * inv_h2[None, :]).sum())
         if state_logw < -745.0:
             raise FloatingPointError(
                 "all KDE component weights underflowed; increase the bandwidth h"
             )
-        out[s] = centers.mean(axis=0) + rng.standard_normal(d) * h / math.sqrt(J)
+        out[s] = mean + rng.standard_normal(d) * h / math.sqrt(J)
     return (out, visited) if return_indices else out
 
 

@@ -105,6 +105,16 @@ def _finite_or_neginf(fn, theta):
     return v if np.isfinite(v) else -math.inf
 
 
+def _start_log_joint(target, theta) -> float:
+    """``target.log_joint(theta)`` at a chain's start. NaN or +inf there
+    would make every proposal reject, so it raises ValueError naming theta
+    and the value; -inf is a legal start."""
+    lj = target.log_joint(theta)
+    if math.isnan(lj) or lj == math.inf:
+        raise ValueError(f"log joint at the starting state theta={theta} is {lj}")
+    return lj
+
+
 def mh_propose(proposal: ProposalDist, theta, gen: np.random.Generator):
     """(theta', u) for one MH decision, drawn from ``gen``.
 
@@ -138,11 +148,12 @@ def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Ge
 
     ``target`` may be a FactoredTarget or any object with ``log_joint``.
     A non-finite log joint at the proposal counts as alpha = 0, never a
-    crash. Draws follow ``mh_propose``.
+    crash. A state without a log joint is evaluated first, and a NaN or
+    +inf there raises ValueError. Draws follow ``mh_propose``.
     """
     theta = state.theta
     if state.log_joint is None:
-        state.log_joint = target.log_joint(theta)
+        state.log_joint = _start_log_joint(target, theta)
     theta_new, u = mh_propose(proposal, theta, rng)
     lj_new = _finite_or_neginf(target.log_joint, theta_new)
     log_alpha = mh_log_alpha(lj_new - state.log_joint, proposal, theta, theta_new)

@@ -5,6 +5,7 @@ analytic Gaussian prior/shard model whose closed-form posterior and
 subposteriors serve as the oracle for every sampler in the package.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -173,12 +174,12 @@ class FactoredTarget:
     def log_likelihood(self, theta) -> float:
         if self.n_data == 0:
             return 0.0
-        return float(np.sum(self.log_lik_terms(self.all_indices(), np.asarray(theta, float))))
+        return float(self.log_lik_terms(self.all_indices(), np.asarray(theta, float)).sum())
 
     def log_joint(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
         val = float(self.log_prior(theta)) + self.log_likelihood(theta)
-        if np.isnan(val):
+        if math.isnan(val):
             raise FloatingPointError(f"log joint is NaN at theta={theta}")
         return val
 

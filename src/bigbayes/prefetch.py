@@ -22,8 +22,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, mh_log_alpha,
-                   mh_propose)
+from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, _start_log_joint,
+                   mh_log_alpha, mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
 from .subsample import llr_terms
@@ -226,9 +226,10 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     Returns (SampleBuffer, info). The draws are bit-exact equal to
     ``run_mh(target, proposal, theta0, T, rng)`` for every policy ("naive",
     or "predictive" with ``constant_predictor()`` by default) and J; as in
-    ``mh_step``, a non-finite speculative density is -inf, a rejection.
-    Each superstep is one ``cluster.map_on_workers`` fan-out whose replies
-    all reach the master before an ``align_clocks`` barrier.
+    ``mh_step``, a non-finite speculative density is -inf, a rejection, and a
+    NaN or +inf density at theta0 raises ValueError. Each superstep is one
+    ``cluster.map_on_workers`` fan-out whose replies all reach the master
+    before an ``align_clocks`` barrier.
     """
     if policy == "naive":
         if predictor is not None:
@@ -254,7 +255,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     evals = 0
 
     # the serial chain evaluates the initial state once; charge it to worker 0
-    tree.root_lj = target.log_joint(tree.root_theta)
+    tree.root_lj = _start_log_joint(target, tree.root_theta)
     cluster.charge(0, eval_cost)
     evals += 1
 

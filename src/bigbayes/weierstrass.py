@@ -81,6 +81,26 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     return chain.theta
 
 
+class _RoundMemo:
+    """A callable log f_j that keeps the values of the current round by
+    ``xi.tobytes()``. ``keep(xi)`` drops all but the value at the new xi_j,
+    where the next round's chain starts, so no round re-reads it."""
+
+    def __init__(self, log_f):
+        self.log_f = log_f
+        self.values = {}
+
+    def __call__(self, xi):
+        key = xi.tobytes()
+        if key not in self.values:
+            self.values[key] = self.log_f(xi)
+        return self.values[key]
+
+    def keep(self, xi):
+        key = xi.tobytes()
+        self.values = {key: self.values[key]}
+
+
 def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
                     inner_steps: int = 5, sync_every: int = 1, *,
                     rng: KeyedRng,
@@ -91,11 +111,14 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     callables as in ``xi_update``. Each round updates every xi_j on worker j
     through ``SimCluster.map_on_workers`` (tag ``"weier-update"``, charged
     ``inner_steps``) and redraws theta; ``sync_every`` > 1 redraws theta only
-    every s-th round (the communication-avoiding variant).
+    every s-th round (the communication-avoiding variant). A callable f_j is
+    evaluated once per proposal plus once at theta0: its value at xi_j is
+    carried from one round to the next.
     """
     if not isinstance(sync_every, numbers.Integral) or sync_every < 1:
         raise ValueError(f"sync_every must be an integer >= 1, got {sync_every!r}")
-    J = len(subposteriors)
+    subs = [f if isinstance(f, tuple) else _RoundMemo(f) for f in subposteriors]
+    J = len(subs)
     if cluster is None:
         cluster = SimCluster(J, seed=rng.seed)
     if cluster.n_workers != J:
@@ -108,11 +131,14 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
 
     def update_task(j, t):
         gen = cluster.worker_rng(j).derive("xi", t)
-        return xi_update(state, j, subposteriors[j], inner_steps, gen), float(inner_steps)
+        return xi_update(state, j, subs[j], inner_steps, gen), float(inner_steps)
 
     for t in range(T):
         state.xi[:] = cluster.map_on_workers(
             [lambda j=j: update_task(j, t) for j in range(J)], tag="weier-update")
+        for f, xi in zip(subs, state.xi):
+            if isinstance(f, _RoundMemo):
+                f.keep(xi)
         if (t + 1) % sync_every == 0:
             state.theta = theta_update(state, rng.derive("theta", t))
         draws[t] = state.theta

@@ -265,6 +265,70 @@ def test_kde_underflow_advises_larger_h():
         consensus_kde(draws, bandwidth=1e-3, n_out=10, rng=np.random.default_rng(21))
 
 
+def reference_kde(draws, bandwidth=None, n_out=1000, *, rng):
+    """The component-index Gibbs sampler written plainly, one delete, gather
+    and ``Generator.choice`` per update; returns (out, visited)."""
+    arr = np.asarray(draws, dtype=float)
+    J, T, d = arr.shape
+    if bandwidth is None:
+        h = np.mean([scott_bandwidth(arr[j]) for j in range(J)], axis=0)
+    else:
+        h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,)).copy()
+    inv_h2 = 1.0 / h**2
+    idx = rng.integers(0, T, size=J)
+    out = np.empty((n_out, d))
+    visited = np.empty((n_out, J), dtype=int)
+    for s in range(n_out):
+        for j in range(J):
+            others = np.delete(np.arange(J), j)
+            sum_others = arr[others, idx[others], :].sum(axis=0)
+            x = arr[j]
+            quad = (1.0 - 1.0 / J) * x**2 - (2.0 / J) * x * sum_others[None, :]
+            logw = -0.5 * (quad * inv_h2[None, :]).sum(axis=1)
+            logw -= logw.max()
+            w = np.exp(logw)
+            tot = w.sum()
+            if not np.isfinite(tot) or tot <= 0:
+                raise FloatingPointError("reference: KDE weights underflowed (bandwidth)")
+            idx[j] = rng.choice(T, p=w / tot)
+        visited[s] = idx
+        centers = arr[np.arange(J), idx, :]
+        state_logw = -0.5 * float(
+            (((centers - centers.mean(axis=0)) ** 2) * inv_h2[None, :]).sum())
+        if state_logw < -745.0:
+            raise FloatingPointError("reference: KDE weights underflowed (bandwidth)")
+        out[s] = centers.mean(axis=0) + rng.standard_normal(d) * h / np.sqrt(J)
+    return out, visited
+
+
+@pytest.mark.parametrize("T", [2, 150, 1000])
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("J", [2, 4])
+def test_kde_matches_the_plain_gibbs_reference(J, d, T):
+    rng = np.random.default_rng(100 * J + 10 * d + T)
+    draws = rng.normal(rng.normal(size=(J, 1, d)), 1.0, (J, T, d))
+    n_out = 40 if T == 1000 else 120
+    want, want_idx = reference_kde(draws, n_out=n_out, rng=np.random.default_rng(T))
+    got, got_idx = consensus_kde(draws, n_out=n_out, rng=np.random.default_rng(T),
+                                 return_indices=True)
+    assert np.array_equal(got_idx, want_idx)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_kde_non_finite_shard_draw_fails_the_weight_sum_check(bad):
+    # every draw shares bad's sign, so an infinite atom makes its own
+    # update's weights inf - inf = NaN, as in the reference
+    sign = -1.0 if bad < 0 else 1.0
+    draws = sign * np.random.default_rng(24).uniform(1.0, 2.0, (4, 5, 2))
+    draws[1, 2, 0] = bad
+    with pytest.raises(FloatingPointError, match="bandwidth"):
+        reference_kde(draws, bandwidth=0.5, n_out=5, rng=np.random.default_rng(25))
+    with pytest.raises(FloatingPointError, match="bandwidth"):
+        consensus_kde(draws, bandwidth=0.5, n_out=5, rng=np.random.default_rng(25))
+
+
 def test_scott_bandwidth_shape():
     x = np.random.default_rng(22).standard_normal((500, 3))
     h = scott_bandwidth(x)

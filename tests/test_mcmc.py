@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +74,37 @@ def test_nonfinite_proposal_rejected_not_crash():
     prop = gaussian_random_walk(10.0)
     buf = run_mh(target, prop, np.zeros(1), 200, KeyedRng(5))
     assert np.all(np.abs(buf.draws) <= 1.0)
+
+
+def _start_density_target(at_start):
+    """log joint ``at_start`` at theta = 0.5 and a standard normal elsewhere."""
+    return SimpleNamespace(n_data=0, log_joint=lambda th: at_start if th[0] == 0.5
+                           else -0.5 * float(th @ th))
+
+
+_STARTS = {
+    "run_mh": lambda target: run_mh(target, gaussian_random_walk(1.0), np.full(1, 0.5), 5,
+                                    KeyedRng(2)),
+    "prefetch_naive": lambda target: prefetch_run(target, gaussian_random_walk(1.0),
+                                                  np.full(1, 0.5), 5, 4, KeyedRng(2))[0],
+    "prefetch_predictive": lambda target: prefetch_run(
+        target, gaussian_random_walk(1.0), np.full(1, 0.5), 5, 4, KeyedRng(2),
+        policy="predictive")[0],
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_STARTS))
+def test_nan_or_positive_inf_start_density_raises_naming_it(name, bad):
+    with pytest.raises(ValueError, match=rf"theta=\[0\.5\] is {bad}"):
+        _STARTS[name](_start_density_target(bad))
+
+
+@pytest.mark.parametrize("name", list(_STARTS))
+def test_negative_inf_start_accepts_its_first_finite_proposal(name):
+    buf = _STARTS[name](_start_density_target(-np.inf))
+    assert buf.accept_flags[0] and buf.draws[0, 0] != 0.5
+    assert np.array_equal(buf.draws, _STARTS["run_mh"](_start_density_target(-np.inf)).draws)
 
 
 def test_optimal_scale_acceptance_rate_near_0234():

@@ -125,3 +125,47 @@ def test_xi_update_rejects_a_non_finite_proposal_density(bad):
     xi = weierstrass.xi_update(state, 0, log_f, 200, KeyedRng(0).derive("xi", 0))
     assert max(proposed) > 0.5
     assert xi[0] <= 0.5
+
+
+# -- f_j carried between rounds ----------------------------------------------------
+
+class _Unmemoized:
+    """Stands in for the per-shard memo: every call evaluates f_j."""
+
+    def __init__(self, log_f):
+        self.log_f = log_f
+
+    def __call__(self, xi):
+        return self.log_f(xi)
+
+    def keep(self, xi):
+        pass
+
+
+def _counted_run(J, T, inner):
+    calls = [0] * J
+
+    def log_f(x, j):
+        calls[j] += 1
+        return -0.5 * float(np.sum((x - 0.3 * j) ** 2))
+
+    subs = [lambda x, j=j: log_f(x, j) for j in range(J)]
+    buf = weierstrass_run(subs, np.zeros(2), 0.4, T, inner_steps=inner, rng=KeyedRng(6))
+    return buf.draws, calls
+
+
+def test_callable_subposterior_is_read_once_per_proposal_and_at_theta0(monkeypatch):
+    J, T, inner = 3, 15, 4
+    draws, calls = _counted_run(J, T, inner)
+    assert calls == [T * inner + 1] * J
+    monkeypatch.setattr(weierstrass, "_RoundMemo", _Unmemoized)
+    plain, plain_calls = _counted_run(J, T, inner)
+    assert plain_calls == [T * (inner + 1)] * J
+    assert np.array_equal(draws, plain)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nan_or_positive_inf_start_density_raises_naming_it(bad):
+    subs = callable_subs(2) + [lambda x: bad]
+    with pytest.raises(ValueError, match=rf"theta=\[0\.25\] is {bad}"):
+        weierstrass_run(subs, np.array([0.25]), 0.5, 3, rng=KeyedRng(2))
