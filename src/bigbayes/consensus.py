@@ -120,6 +120,11 @@ def _as_draws_array(draws) -> np.ndarray:
     T = arr.shape[1]
     if T < 2:
         raise ValueError("need at least two draws per shard")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        j, t, k = np.argwhere(~finite)[0]
+        raise ValueError(f"shard {j}, draw {t}, coordinate {k} is not finite: "
+                         f"{float(arr[j, t, k])}")
     return arr
 
 
@@ -208,8 +213,8 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
         h = np.mean([scott_bandwidth(arr[j]) for j in range(J)], axis=0)
     else:
         h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,)).copy()
-    if np.any(h <= 0):
-        raise ValueError("bandwidth must be positive")
+    if not np.all(h > 0):
+        raise ValueError(f"bandwidth must be positive, got h = {h.tolist()}")
     inv_h2 = 1.0 / h**2
     a = -0.5 * (1.0 - 1.0 / J) * (arr**2 @ inv_h2)     # (J, T)
     B = arr * (inv_h2 / J)                              # (J, T, d)

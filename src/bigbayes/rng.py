@@ -9,6 +9,9 @@ Stream version 2: the stream of ``(seed, key)`` is a Philox4x64 generator
 keyed by the first 128 bits of the sha256 fold of the seed and the key parts,
 with counter 0, i.e. ``Generator(Philox(key=_fold(seed, key)))``. Each
 ``derive`` returns a fresh generator with its own bit generator.
+
+``_LazyPermutation`` draws a uniform random permutation from one such
+generator only as far as it is read.
 """
 
 import hashlib
@@ -20,6 +23,10 @@ __all__ = ["KeyedRng"]
 
 _INT128_MIN, _INT128_END = -(2 ** 127), 2 ** 127
 _WORD = 2 ** 64 - 1
+# A _LazyPermutation draws its next block lazily only while more than
+# _EAGER_FACTOR * (block + 1024) indices are unread; below that, one shuffle
+# of everything unread is cheaper than rejecting the indices already drawn.
+_EAGER_FACTOR = 4
 
 
 def _int128(value, what: str, kinds: str = "an int") -> int:
@@ -105,3 +112,73 @@ class KeyedRng:
 
     def __repr__(self):
         return f"KeyedRng(seed={self.seed}, base={self._base!r})"
+
+
+class _LazyPermutation:
+    """A uniform random permutation of ``range(n)``, drawn from ``gen`` only
+    as far as it has been read.
+
+    ``drawn`` is the prefix drawn so far; ``draw_to(stop)`` extends it to at
+    least ``min(stop, n)`` entries and returns it.
+
+    Law: each block is a uniform random subset of the indices not yet drawn,
+    in uniform random order, so every prefix is distributed as the same
+    prefix of ``gen.permutation(n)``. A block of k is drawn by rejection:
+    draw k candidates with ``gen.integers``, drop those already drawn (an
+    n-byte mask) and the repeats, mark the rest and redraw only the
+    shortfall. Every step treats the undrawn indices alike, so the kept set
+    is a uniform subset of its size and no trimming is needed; the block is
+    then shuffled.
+
+    Schedule: blocks of ``block`` indices, then doubling, until at most
+    ``_EAGER_FACTOR * (block + 1024)`` indices (or fewer than a block) are
+    unread; then all the unread indices are shuffled at once. Block sizes
+    never depend on the stop asked for, so the permutation is a function of
+    ``gen``'s stream alone, whatever prefixes are asked for in whatever
+    order.
+
+    Small n: where ``n <= _EAGER_FACTOR * (block + 1024)`` the first and
+    only draw is ``gen.permutation(n)``, bit for bit the eager permutation.
+    """
+
+    __slots__ = ("drawn", "_n", "_gen", "_block", "_mask")
+
+    def __init__(self, n: int, block: int, gen: np.random.Generator):
+        self._n, self._block, self._gen = n, block, gen
+        self.drawn = np.empty(0, dtype=np.int64)
+        self._mask = None  # marks the drawn indices while the draw is lazy
+
+    def draw_to(self, stop: int) -> np.ndarray:
+        stop = min(stop, self._n)
+        while len(self.drawn) < stop:
+            self._draw_block()
+        return self.drawn
+
+    def _draw_block(self):
+        gen, n, k = self._gen, self._n, self._block
+        unread = n - len(self.drawn)
+        if unread <= max(k, _EAGER_FACTOR * (k + 1024)):
+            if self._mask is None:  # nothing drawn yet
+                self.drawn = gen.permutation(n)
+            else:
+                rest = np.flatnonzero(~self._mask)
+                gen.shuffle(rest)
+                self.drawn = np.concatenate([self.drawn, rest])
+                self._mask = None
+            return
+        if self._mask is None:
+            self._mask = np.zeros(n, dtype=bool)
+        mask = self._mask
+        parts, short = [], k
+        while short:
+            c = np.sort(gen.integers(0, n, short))
+            keep = ~mask[c]
+            keep[1:] &= c[1:] != c[:-1]
+            c = c[keep]
+            mask[c] = True
+            parts.append(c)
+            short -= len(c)
+        block = np.concatenate(parts)
+        gen.shuffle(block)
+        self.drawn = np.concatenate([self.drawn, block])
+        self._block = 2 * k

@@ -1,7 +1,9 @@
 """Stochastic gradient MAP ascent and stochastic gradient Langevin dynamics.
 
 Minibatches are consecutive slices of a fresh per-epoch permutation, so a
-full epoch visits every datum exactly once; the decaying step schedule
+full epoch visits every datum exactly once. The permutation is drawn only as
+far as the epoch's batches have been served (``rng._LazyPermutation``), so
+the first batches of an epoch cost O(m), not O(N). The decaying step schedule
 eps_t = alpha (beta + t)^-gamma satisfies the usual divergent-sum /
 convergent-square-sum conditions whenever gamma lies in (0.5, 1]. SGLD never
 applies an accept/reject correction.
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import FactoredTarget
-from .rng import KeyedRng
+from .rng import KeyedRng, _LazyPermutation
 
 __all__ = [
     "StepSchedule",
@@ -53,20 +55,32 @@ class MinibatchPlan:
 
     When m does not divide N the final batch of each epoch is short; the
     gradient estimator rescales by N/|batch| either way so it stays
-    unbiased. The current epoch's permutation is cached, so only the first
-    batch of an epoch pays for the O(N) permutation.
+    unbiased. Epoch e's permutation is ``rng.derive("epoch", e)``'s
+    ``_LazyPermutation``: it is drawn in blocks of m, 2m, 4m, ... as the
+    epoch's batches are served, and a batch depends only on (seed, t), not
+    on which batches were asked for before. Where N is small next to m
+    (N <= 4 (m + 1024)) the first batch draws the whole ``permutation(N)``.
+    The current epoch's permutation is cached.
     """
 
     n_data: int
     batch_size: int
     rng: KeyedRng
-    # (epoch, permutation) of the last epoch served; outside eq, hash and repr
+    # (epoch, _LazyPermutation) of the last epoch served; outside eq, hash and repr
     _epoch_perm: tuple = field(default=(None, None), init=False, repr=False,
                                compare=False)
 
     def __post_init__(self):
+        for name in ("n_data", "batch_size"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise TypeError(f"MinibatchPlan {name} must be an int, "
+                                f"got {v!r} ({type(v).__name__})")
+        if self.n_data < 1:
+            raise ValueError(f"MinibatchPlan n_data must be at least 1, got {self.n_data}")
         if not 1 <= self.batch_size <= self.n_data:
-            raise ValueError("batch size must lie in 1..N")
+            raise ValueError(f"MinibatchPlan batch_size must lie in 1..n_data = "
+                             f"{self.n_data}, got {self.batch_size}")
 
     @property
     def batches_per_epoch(self) -> int:
@@ -74,13 +88,18 @@ class MinibatchPlan:
 
     def indices(self, t: int) -> np.ndarray:
         """Batch for global step t."""
-        J = self.batches_per_epoch
-        epoch, slot = divmod(t, J)
+        epoch, slot = divmod(t, self.batches_per_epoch)
+        start = slot * self.batch_size
+        stop = start + self.batch_size
         cached_epoch, perm = self._epoch_perm
         if cached_epoch != epoch:
-            perm = self.rng.derive("epoch", epoch).permutation(self.n_data)
+            perm = _LazyPermutation(self.n_data, self.batch_size,
+                                    self.rng.derive("epoch", epoch))
             object.__setattr__(self, "_epoch_perm", (epoch, perm))
-        return perm[slot * self.batch_size:(slot + 1) * self.batch_size].copy()
+        drawn = perm.drawn
+        if len(drawn) < stop:
+            drawn = perm.draw_to(stop)
+        return drawn[start:stop].copy()
 
 
 def stochastic_grad(target: FactoredTarget, theta, batch_indices) -> np.ndarray:

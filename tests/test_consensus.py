@@ -319,14 +319,23 @@ def test_kde_matches_the_plain_gibbs_reference(J, d, T):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_kde_non_finite_shard_draw_fails_the_weight_sum_check(bad):
     # every draw shares bad's sign, so an infinite atom makes its own
-    # update's weights inf - inf = NaN, as in the reference
+    # update's weights inf - inf = NaN, as in the reference; consensus_kde
+    # rejects the draw before the sweep and names it
     sign = -1.0 if bad < 0 else 1.0
     draws = sign * np.random.default_rng(24).uniform(1.0, 2.0, (4, 5, 2))
     draws[1, 2, 0] = bad
     with pytest.raises(FloatingPointError, match="bandwidth"):
         reference_kde(draws, bandwidth=0.5, n_out=5, rng=np.random.default_rng(25))
-    with pytest.raises(FloatingPointError, match="bandwidth"):
-        consensus_kde(draws, bandwidth=0.5, n_out=5, rng=np.random.default_rng(25))
+    for bandwidth in (0.5, None):
+        with pytest.raises(ValueError, match=rf"shard 1, draw 2, coordinate 0 is not finite: {bad}"):
+            consensus_kde(draws, bandwidth=bandwidth, n_out=5, rng=np.random.default_rng(25))
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
+def test_kde_bandwidth_must_be_positive_and_is_named(h):
+    draws = np.random.default_rng(26).standard_normal((2, 5, 2))
+    with pytest.raises(ValueError, match=rf"got h = \[{h}, {h}\]"):
+        consensus_kde(draws, bandwidth=h, n_out=5, rng=np.random.default_rng(27))
 
 
 def test_scott_bandwidth_shape():

@@ -1,7 +1,13 @@
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
+
+from bigbayes import rng as rng_module
 
 from bigbayes.models import (
     GaussianModelSpec,
@@ -77,6 +83,86 @@ def test_out_of_order_batches_match_a_fresh_plan():
     assert np.array_equal(plan.indices(4), MinibatchPlan(17, 5, rng).indices(4))
     assert plan == MinibatchPlan(17, 5, rng)
     assert hash(plan) == hash(MinibatchPlan(17, 5, rng))
+
+
+@pytest.mark.parametrize("n, m, bad", [
+    (10, 2.5, "batch_size must be an int, got 2.5 (float)"),
+    (10.0, 2, "n_data must be an int, got 10.0 (float)"),
+    (10, True, "batch_size must be an int, got True (bool)"),
+    (0, 1, "n_data must be at least 1, got 0"),
+    (10, 0, "batch_size must lie in 1..n_data = 10, got 0"),
+    (10, 11, "batch_size must lie in 1..n_data = 10, got 11"),
+])
+def test_plan_checks_and_names_its_sizes(n, m, bad):
+    error = TypeError if "an int" in bad else ValueError
+    with pytest.raises(error, match=re.escape(bad)):
+        MinibatchPlan(n, m, KeyedRng(1).child("mb"))
+
+
+def test_small_plan_slices_the_eager_permutation():
+    # below the lazy threshold the epoch stream is exactly permutation(N)
+    rng = KeyedRng(8).child("mb")
+    plan = MinibatchPlan(n_data=1000, batch_size=100, rng=rng)
+    numpy_sized = MinibatchPlan(np.int64(1000), np.int64(100), rng)
+    for t in (0, 9, 3, 10, 25):
+        epoch, slot = divmod(t, 10)
+        perm = rng.derive("epoch", epoch).permutation(1000)
+        assert np.array_equal(plan.indices(t), perm[slot * 100:(slot + 1) * 100])
+        assert np.array_equal(numpy_sized.indices(t), plan.indices(t))
+
+
+# a plan this large draws its epochs lazily: 200 slots of 100
+LAZY_N, LAZY_M = 20_000, 100
+
+
+def test_lazy_epochs_partition_the_data():
+    plan = MinibatchPlan(LAZY_N, LAZY_M, KeyedRng(16).child("mb"))
+    J = plan.batches_per_epoch
+    for epoch in range(3):
+        seen = np.concatenate([plan.indices(epoch * J + k) for k in range(J)])
+        assert np.array_equal(np.sort(seen), np.arange(LAZY_N))
+
+
+def test_lazy_out_of_order_batches_match_a_fresh_plan():
+    rng = KeyedRng(17).child("mb")
+    plan = MinibatchPlan(LAZY_N, LAZY_M, rng)
+    for t in (150, 3, 199, 0, 350, 201, 0, 599, 150):  # epochs 0, 0, 0, 0, 1, 1, 0, 2, 0
+        got = plan.indices(t)
+        assert np.array_equal(got, MinibatchPlan(LAZY_N, LAZY_M, rng).indices(t))
+        got[:] = -1  # a caller writing into its batch leaves the plan intact
+    in_order = MinibatchPlan(LAZY_N, LAZY_M, rng)
+    batches = [in_order.indices(t) for t in range(200)]
+    assert all(np.array_equal(plan.indices(t), batches[t]) for t in (199, 3, 150, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lazy_blocks_are_uniform_ordered_draws(monkeypatch, m):
+    # every block lazy at n = 5; the first three draws, which span the first
+    # block (rejecting repeats) and the next (rejecting what the first drew),
+    # must be uniform over the 60 ordered triples
+    monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
+    n, seeds = 5, 6000
+    triples = list(itertools.permutations(range(n), 3))
+    counts = dict.fromkeys(triples, 0)
+    for seed in range(seeds):
+        plan = MinibatchPlan(n, m, KeyedRng(seed).child("mb"))
+        first = np.concatenate([plan.indices(t) for t in range(3)])[:3]
+        counts[tuple(first.tolist())] += 1
+    assert sum(counts.values()) == seeds
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def test_lazy_plan_reads_only_what_it_serves():
+    # a full permutation of 1e6 indices alone is 8 MB
+    plan = MinibatchPlan(10**6, 100, KeyedRng(18).child("mb"))
+    tracemalloc.start()
+    try:
+        for t in range(10):
+            plan.indices(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_short_final_batch_scale():
