@@ -261,8 +261,8 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
     z, dark, bright = state.z, state.dark_stat_sum, state.bright
     augmented = SimpleNamespace(log_joint=lambda th: flymc_log_joint(
         FireflyState(th, z, dark, bright=bright), target, bound))
-    moved, accepted, _ = mh_step(augmented, proposal,
-                                 ChainState(state.theta, log_joint=state.log_joint_aug), rng_mh)
+    moved, accepted = mh_step(augmented, proposal,
+                              ChainState(state.theta, log_joint=state.log_joint_aug), rng_mh)
     state = FireflyState(theta=np.asarray(moved.theta, float), z=z, dark_stat_sum=dark,
                          log_joint_aug=moved.log_joint, bright=bright)
     state, k = resample_brightness(state, target, bound, rho_z, rng_z)

@@ -124,7 +124,8 @@ def mh_propose(proposal: ProposalDist, theta, gen: np.random.Generator):
     whatever theta is, so step t reads the same pair from the stream keyed
     ("step", t) serially (``run_chain``), speculatively (``prefetch``), on an
     augmented state (``firefly``) or before a subsampled test
-    (``subsample``, whose permutation and pilot draws follow the pair).
+    (``subsample``, whose lazily drawn permutation and pilot draws follow
+    the pair).
     """
     theta_new = proposal.sample(theta, gen)
     u = gen.uniform()
@@ -144,10 +145,10 @@ def mh_log_alpha(log_ratio: float, proposal: ProposalDist, theta, theta_new) -> 
 
 
 def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Generator):
-    """One MH update; returns (state', accepted, alpha).
+    """One MH update; returns (state', accepted).
 
     ``target`` may be a FactoredTarget or any object with ``log_joint``.
-    A non-finite log joint at the proposal counts as alpha = 0, never a
+    A non-finite log joint at the proposal counts as a rejection, never a
     crash. A state without a log joint is evaluated first, and a NaN or
     +inf there raises ValueError. Draws follow ``mh_propose``.
     """
@@ -157,11 +158,9 @@ def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Ge
     theta_new, u = mh_propose(proposal, theta, rng)
     lj_new = _finite_or_neginf(target.log_joint, theta_new)
     log_alpha = mh_log_alpha(lj_new - state.log_joint, proposal, theta, theta_new)
-    alpha = min(1.0, math.exp(min(log_alpha, 0.0)))
-    accepted = math.log(u) < log_alpha
-    if accepted:
-        return ChainState(theta_new, state.it + 1, lj_new), accepted, alpha
-    return ChainState(theta, state.it + 1, state.log_joint), accepted, alpha
+    if math.log(u) < log_alpha:
+        return ChainState(theta_new, state.it + 1, lj_new), True
+    return ChainState(theta, state.it + 1, state.log_joint), False
 
 
 def run_chain(step: Callable, state, T: int, rng: KeyedRng):
@@ -186,7 +185,7 @@ def run_mh(target, proposal: ProposalDist, theta0, T: int, rng: KeyedRng) -> Sam
     """T MH steps (``mh_step`` driven by ``run_chain``) from theta0."""
 
     def step(state, t, gen):
-        return mh_step(target, proposal, state, gen)[:2]
+        return mh_step(target, proposal, state, gen)
 
     return run_chain(step, ChainState(np.array(theta0, dtype=float)), T, rng)[0]
 

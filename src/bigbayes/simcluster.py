@@ -2,7 +2,8 @@
 
 Virtual time is in abstract work units that algorithms charge (say one per
 likelihood term), so speedup claims are about work, not wall clock or real
-threads. All randomness flows through per-worker keyed streams.
+threads. The cluster draws nothing: ``worker_rng(k)`` is the keyed stream
+that ``consensus`` hands to shard k's sampler.
 
 Every master/worker fan-out in the package is one scatter-gather,
 ``SimCluster.map_on_workers``: task ``i`` is a callable returning

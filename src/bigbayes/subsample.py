@@ -1,13 +1,15 @@
 """Approximate Metropolis-Hastings with adaptive data-subsampling stopping rules.
 
-Each step draws one permutation of the data and reads likelihood terms in
-batches that are consecutive slices of it, until either a t-statistic test
-or a concentration inequality (Hoeffding without replacement, or empirical
+Each test reads likelihood terms in batches that are consecutive slices of
+its own lazily drawn permutation of the data (``rng._LazyPermutation``,
+blocks of ``batch``, then doubling), until either a t-statistic test or a
+concentration inequality (Hoeffding without replacement, or empirical
 Bernstein) says the subsampled accept/reject decision matches the full-data
 decision with high probability. Exhausting the data always recovers the
-exact MH test. The accumulator rejects any index read twice in one test
-with a boolean mask over the data: per batch, O(batch) indexing plus a copy
-and two counts of the N-byte mask, and no per-index Python work.
+exact MH test. No index is read twice in one test by construction: the
+accumulator's read count is its position in the permutation, so a step does
+O(read) index work. Where N <= 4 (batch + 1024) the first read draws the
+whole ``permutation(N)``.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from .mcmc import ChainState, ProposalDist, mh_log_alpha, mh_propose, run_chain
 from .models import FactoredTarget
-from .rng import KeyedRng
+from .rng import KeyedRng, _LazyPermutation
 from .special import student_t_sf
 
 __all__ = [
@@ -40,13 +42,17 @@ PILOT_SAFETY = 1.5
 
 @dataclass
 class LLRAccumulator:
-    """Running first and second raw moments of seen log-likelihood ratios."""
+    """Running first and second raw moments of the log-likelihood ratios at
+    the first ``m`` entries of ``order``, the test's index permutation.
+
+    ``order`` only grows and is fixed by its generator, so accumulators that
+    share it may branch: each reads on from its own ``m``.
+    """
 
     m: int = 0
     mean: float = 0.0
     mean_sq: float = 0.0
-    # mask of the data indices read so far; made by the first llr_update
-    _seen: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    order: Optional[_LazyPermutation] = field(default=None, repr=False, compare=False)
 
     def std(self) -> float:
         if self.m < 2:
@@ -68,16 +74,17 @@ class StopRuleConfig:
     per_batch_delta: bool = False
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
+        b = self.batch
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
+            raise ValueError(f"batch must be an int >= 1, got {b!r} ({type(b).__name__})")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0,1)")
+            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon!r}")
         if self.rule not in ("ttest", "hoeffding", "bernstein"):
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.p <= 1.0:
-            raise ValueError("p must exceed 1")
-        if self.geometric < 1.0:
-            raise ValueError("geometric growth factor must be >= 1")
+        if not self.p > 1.0:
+            raise ValueError(f"p must exceed 1, got {self.p!r}")
+        if not self.geometric >= 1.0:
+            raise ValueError(f"geometric growth factor must be >= 1, got {self.geometric!r}")
 
 
 def mh_log_threshold(u: float, theta, theta_new, proposal: ProposalDist,
@@ -98,32 +105,20 @@ def llr_terms(target: FactoredTarget, idx, theta, theta_new) -> np.ndarray:
 
 
 def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
-               indices) -> LLRAccumulator:
-    """Fold a fresh batch of term indices into the running moments.
+               k: int) -> LLRAccumulator:
+    """Fold the next ``k`` entries of ``acc.order`` (all that remain, if
+    fewer) into the running moments; ``acc`` itself is left unchanged.
 
-    Indices must come from one per-test permutation and never repeat within
-    a test; a repeat, across batches or inside this one, raises RuntimeError.
-    The guard copies the accumulator's mask of read indices (N bytes, so
-    ``acc`` itself is left unchanged), marks the batch in it and checks that
-    the count of marked indices grew by the batch size: O(batch) indexing
-    plus two counts over the mask, with no per-index Python work.
+    The entries after position ``acc.m`` have never been read in this test,
+    so no index repeats, and updating one accumulator twice reads the same
+    indices both times. The order is drawn only as far as it is read.
     """
-    idx = np.asarray(indices, dtype=int)
-    seen = np.zeros(target.n_data, dtype=bool) if acc._seen is None else acc._seen.copy()
-    n_seen = np.count_nonzero(seen)
-    seen[idx] = True
-    if np.count_nonzero(seen) - n_seen != idx.size:  # an index was read before
-        vals, counts = np.unique(idx % target.n_data, return_counts=True)
-        if acc._seen is not None:
-            counts += acc._seen[vals]
-        raise RuntimeError(
-            f"subsample indices reused within one test: {vals[counts > 1][:5].tolist()}")
+    idx = acc.order.draw_to(acc.m + k)[acc.m:acc.m + k]
     ell = llr_terms(target, idx, theta, theta_new)
-    c = len(idx)
-    m_new = acc.m + c
+    m_new = acc.m + len(idx)
     mean = (acc.m * acc.mean + float(np.sum(ell))) / m_new
     mean_sq = (acc.m * acc.mean_sq + float(np.sum(ell**2))) / m_new
-    return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq, _seen=seen)
+    return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq, order=acc.order)
 
 
 def ttest_should_stop(acc: LLRAccumulator, psi: float, N: int, epsilon: float):
@@ -194,29 +189,26 @@ def _resolve_c(cfg: StopRuleConfig, target, theta, theta_new, rng) -> float:
 
 
 def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
-    """Consume batches from a fresh permutation until the rule stops.
+    """Read batches from a fresh lazy permutation until the rule stops; a
+    concentration rule resolves C at its first stop check.
 
     Returns (accept, m_used).
     """
     N = target.n_data
-    perm = rng.permutation(N)
-    acc = LLRAccumulator()
-    c_value = None if cfg.rule == "ttest" else _resolve_c(cfg, target, theta, theta_new, rng)
+    acc = LLRAccumulator(order=_LazyPermutation(N, cfg.batch, rng))
+    c_value = None
     min_m = 1 if cfg.rule == "hoeffding" else 2
     batch = cfg.batch
-    pos = 0
     k = 0
-    while True:
-        take = min(batch, N - pos)
-        acc = llr_update(acc, target, theta, theta_new, perm[pos:pos + take])
-        pos += take
+    while acc.m < N:
+        acc = llr_update(acc, target, theta, theta_new, batch)
         k += 1
-        if acc.m >= N:
-            break
-        if acc.m >= min_m:
+        if min_m <= acc.m < N:
             if cfg.rule == "ttest":
                 stop, _ = ttest_should_stop(acc, psi, N, cfg.epsilon)
             else:
+                if c_value is None:
+                    c_value = _resolve_c(cfg, target, theta, theta_new, rng)
                 stop, _ = concentration_should_stop(acc, psi, N, cfg, k, c_value)
             if stop:
                 break
@@ -231,7 +223,9 @@ def _check_has_data(target: FactoredTarget):
 
 def _subsampled_decision(target, proposal, theta, cfg, gen):
     """(theta', psi, accept, m_used) of one step; draws follow
-    ``mcmc.mh_propose``, then the permutation, then the pilot."""
+    ``mcmc.mh_propose``, then the permutation's first block at the first
+    read, then (Hoeffding and Bernstein without a given C) the pilot at the
+    first stop check, then any later blocks as they are read."""
     theta_new, u = mh_propose(proposal, theta, gen)
     psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
     accept, m_used = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)

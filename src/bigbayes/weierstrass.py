@@ -77,7 +77,7 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     walk = gaussian_random_walk(float(np.min(h)))
     chain = ChainState(state.xi[j].copy())
     for _ in range(inner_steps):
-        chain = mh_step(coupled, walk, chain, rng)[0]
+        chain, _ = mh_step(coupled, walk, chain, rng)
     return chain.theta
 
 
@@ -111,16 +111,17 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     callables as in ``xi_update``. Each round updates every xi_j on worker j
     through ``SimCluster.map_on_workers`` (tag ``"weier-update"``, charged
     ``inner_steps``) and redraws theta; ``sync_every`` > 1 redraws theta only
-    every s-th round (the communication-avoiding variant). A callable f_j is
-    evaluated once per proposal plus once at theta0: its value at xi_j is
-    carried from one round to the next.
+    every s-th round (the communication-avoiding variant). xi_j's stream in
+    round t is ``rng.derive("xi", j, t)``, whatever ``cluster`` is. A
+    callable f_j is evaluated once per proposal plus once at theta0: its
+    value at xi_j is carried from one round to the next.
     """
     if not isinstance(sync_every, numbers.Integral) or sync_every < 1:
         raise ValueError(f"sync_every must be an integer >= 1, got {sync_every!r}")
     subs = [f if isinstance(f, tuple) else _RoundMemo(f) for f in subposteriors]
     J = len(subs)
     if cluster is None:
-        cluster = SimCluster(J, seed=rng.seed)
+        cluster = SimCluster(J)
     if cluster.n_workers != J:
         raise ValueError("need one worker per shard")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
@@ -130,7 +131,7 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     flags = np.ones(T, dtype=bool)
 
     def update_task(j, t):
-        gen = cluster.worker_rng(j).derive("xi", t)
+        gen = rng.derive("xi", j, t)
         return xi_update(state, j, subs[j], inner_steps, gen), float(inner_steps)
 
     for t in range(T):

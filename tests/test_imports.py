@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, and
 every name it exports is defined or imported in it. Only ``simcluster``
-sends and delivers cluster messages, and only ``mcmc``, ``prefetch`` and
-``subsample`` use the parts of the MH transition."""
+sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
+``subsample`` use the parts of the MH transition, and data orders are drawn
+only by ``rng``'s lazy permutation."""
 
 import ast
 from pathlib import Path
@@ -132,3 +133,32 @@ def test_only_split_samplers_use_mh_parts(path):
     # every other MH move is a whole mcmc.mh_step
     assert mh_part_references(path.read_text()) == [], (
         f"{path.name} composes MH parts instead of calling mcmc.mh_step")
+
+
+def permutation_calls(source: str):
+    """(line, enclosing top-level def or class, or None) of every ``.permutation(...)``
+    call in ``source``."""
+    calls = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        calls += [(node.lineno, owner) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "permutation"]
+    return sorted(calls)
+
+
+def test_permutation_checker_flags_planted_calls():
+    src = ("import numpy as np\nP = np.random.permutation(3)\n"
+           "def f(gen, n):\n    shuffle = gen.permutation\n    return gen.permutation(n)\n"
+           "class C:\n    def g(self, gen):\n        return [gen.permutation(2)]\n")
+    assert permutation_calls(src) == [(2, None), (5, "f"), (8, "C")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"],
+                         ids=lambda p: p.name)
+def test_only_rng_draws_data_permutations(path):
+    # a data order is an rng._LazyPermutation, drawn only as far as it is read;
+    # a random-scan Gibbs sweep permutes its few variables, not the data
+    found = [(line, owner) for line, owner in permutation_calls(path.read_text())
+             if (path.name, owner) != ("mcmc.py", "gibbs_sweep")]
+    assert found == [], f"{path.name} calls .permutation( outside rng.py"

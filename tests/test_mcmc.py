@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,9 +47,8 @@ def test_identity_proposal_always_accepts():
                         is_symmetric=True)
     state = ChainState(np.array([0.4]))
     for t in range(5):
-        state, accepted, alpha = mh_step(std_normal_target(), prop, state,
-                                         KeyedRng(1).derive(t))
-        assert accepted and alpha == 1.0
+        state, accepted = mh_step(std_normal_target(), prop, state, KeyedRng(1).derive(t))
+        assert accepted
 
 
 def test_symmetric_proposal_alpha_is_density_ratio():
@@ -56,12 +56,15 @@ def test_symmetric_proposal_alpha_is_density_ratio():
     prop = gaussian_random_walk(1.0)
     rng = KeyedRng(3)
     state = ChainState(np.array([1.0]), log_joint=target.log_joint(np.array([1.0])))
+    decisions = set()
     for t in range(20):
-        gen = rng.derive(t)
-        theta_new = prop.sample(state.theta, gen)
-        expected = min(1.0, np.exp(target.log_joint(theta_new) - state.log_joint))
-        _, _, alpha = mh_step(target, prop, state, rng.derive(t))
-        assert alpha == pytest.approx(expected, abs=1e-12)
+        theta_new, u = mh_propose(prop, state.theta, rng.derive(t))
+        log_ratio = target.log_joint(theta_new) - state.log_joint
+        moved, accepted = mh_step(target, prop, state, rng.derive(t))
+        assert accepted == (math.log(u) < log_ratio)
+        assert np.array_equal(moved.theta, theta_new if accepted else state.theta)
+        decisions.add(accepted)
+    assert decisions == {True, False}
 
 
 def test_nonfinite_proposal_rejected_not_crash():
@@ -146,8 +149,8 @@ def test_zero_uniform_is_redrawn():
     u_next = KeyedRng(4).derive(0).uniform()
     _, u = mh_propose(prop, np.zeros(1), FirstUniformZero(KeyedRng(4).derive(0)))
     assert u == u_next
-    state, accepted, _ = mh_step(std_normal_target(), prop, ChainState(np.array([0.3])),
-                                 FirstUniformZero(KeyedRng(4).derive(0)))
+    state, accepted = mh_step(std_normal_target(), prop, ChainState(np.array([0.3])),
+                              FirstUniformZero(KeyedRng(4).derive(0)))
     assert accepted and state.it == 1
 
 
@@ -163,7 +166,7 @@ def test_rejections_advance_cursor_identically():
     state = ChainState(np.zeros(1))
     rng = KeyedRng(8)
     for t in range(50):
-        state, _, _ = mh_step(target, gaussian_random_walk(50.0), state, rng.derive(t))
+        state, _ = mh_step(target, gaussian_random_walk(50.0), state, rng.derive(t))
     assert state.it == 50
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bigbayes import subsample
-from bigbayes.mcmc import ChainState, gaussian_random_walk
+from bigbayes.mcmc import ChainState, gaussian_random_walk, mh_propose
 from bigbayes.models import FactoredTarget, logistic_regression_target
-from bigbayes.rng import KeyedRng
+from bigbayes.rng import KeyedRng, _LazyPermutation
 from bigbayes.special import betainc_regularized, student_t_cdf, student_t_sf
 from bigbayes.subsample import (
     LLRAccumulator,
@@ -121,13 +123,17 @@ def test_threshold_sign_agrees_with_exact_mh_decision():
 
 # -- accumulator --------------------------------------------------------------
 
+def fresh(n, seed, block=4):
+    """An empty accumulator over its own lazy order of range(n)."""
+    return LLRAccumulator(order=_LazyPermutation(n, block, np.random.default_rng(seed)))
+
+
 def test_constant_terms_exact_moments():
     target = flat_prior_target(np.full(8, 1.0))
-    acc = LLRAccumulator()
     # theta -> theta' shifts every term by the same amount
-    acc = llr_update(acc, target, np.array([0.0]), np.array([2.0]), np.arange(4))
+    acc = llr_update(fresh(8, 0), target, np.array([0.0]), np.array([2.0]), 4)
     assert acc.mean_sq == pytest.approx(acc.mean**2)
-    acc2 = llr_update(acc, target, np.array([0.0]), np.array([2.0]), np.arange(4, 8))
+    acc2 = llr_update(acc, target, np.array([0.0]), np.array([2.0]), 4)
     assert acc2.mean == pytest.approx(acc.mean)
 
 
@@ -135,9 +141,10 @@ def test_two_batches_equal_one_batch():
     rng = np.random.default_rng(3)
     target = flat_prior_target(rng.standard_normal(10))
     th, thp = np.array([0.1]), np.array([0.6])
-    a = llr_update(LLRAccumulator(), target, th, thp, np.arange(4))
-    a = llr_update(a, target, th, thp, np.arange(4, 8))
-    b = llr_update(LLRAccumulator(), target, th, thp, np.arange(8))
+    a = llr_update(fresh(10, 3), target, th, thp, 4)
+    a = llr_update(a, target, th, thp, 4)
+    b = llr_update(fresh(10, 3), target, th, thp, 8)
+    assert a.m == b.m == 8
     assert a.mean == pytest.approx(b.mean, abs=1e-12)
     assert a.mean_sq == pytest.approx(b.mean_sq, abs=1e-12)
 
@@ -146,14 +153,13 @@ def test_batching_order_invariance():
     rng = np.random.default_rng(4)
     target = flat_prior_target(rng.standard_normal(12))
     th, thp = np.array([-0.2]), np.array([0.4])
-    seq = rng.permutation(12)
     for cuts in ([3, 7], [1, 2, 11], [6]):
-        acc = LLRAccumulator()
+        acc = fresh(12, 4)
         start = 0
         for c in list(cuts) + [12]:
-            acc = llr_update(acc, target, th, thp, seq[start:c])
+            acc = llr_update(acc, target, th, thp, c - start)
             start = c
-        ref = llr_update(LLRAccumulator(), target, th, thp, seq)
+        ref = llr_update(fresh(12, 4), target, th, thp, 12)
         assert acc.mean == pytest.approx(ref.mean, abs=1e-12)
 
 
@@ -161,66 +167,48 @@ def test_full_sample_recovers_exact_average():
     rng = np.random.default_rng(5)
     target = flat_prior_target(rng.standard_normal(9))
     th, thp = np.array([0.0]), np.array([1.0])
-    acc = llr_update(LLRAccumulator(), target, th, thp, np.arange(9))
+    acc = llr_update(fresh(9, 5), target, th, thp, 9)
     lam = float(np.mean(target.log_lik_terms(np.arange(9), thp)
                         - target.log_lik_terms(np.arange(9), th)))
+    assert acc.m == 9
     assert acc.mean == pytest.approx(lam, abs=1e-14)
-
-
-def test_index_reuse_rejected():
-    target = flat_prior_target(np.zeros(6))
-    acc = llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), [0, 1])
-    with pytest.raises(RuntimeError):
-        llr_update(acc, target, np.zeros(1), np.ones(1), [1, 2])
-
-
-def test_duplicate_inside_one_batch_rejected_and_named():
-    target = flat_prior_target(np.zeros(6))
-    with pytest.raises(RuntimeError, match=r"\[3\]"):
-        llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), [3, 3])
-    acc = llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), [0, 1])
-    with pytest.raises(RuntimeError, match=r"\[1, 4\]"):  # read before, and twice here
-        llr_update(acc, target, np.zeros(1), np.ones(1), [2, 4, 1, 5, 4])
+    # asking for more than remains reads the rest and no more
+    over = llr_update(llr_update(fresh(9, 5), target, th, thp, 5), target, th, thp, 100)
+    assert over.m == 9
+    assert over.mean == pytest.approx(lam, abs=1e-14)
 
 
 def test_update_leaves_its_input_accumulator_unchanged():
     rng = np.random.default_rng(13)
     target = flat_prior_target(rng.standard_normal(6))
     th, thp = np.array([0.0]), np.array([0.7])
-    a1 = llr_update(LLRAccumulator(), target, th, thp, [0, 1])
-    a2 = llr_update(a1, target, th, thp, [2, 3])
-    # a1 has not read 2 and 3, so it may still branch onto them
-    b2 = llr_update(a1, target, th, thp, [3, 2])
-    assert (b2.m, b2.mean) == (a2.m, pytest.approx(a2.mean, abs=1e-14))
-    with pytest.raises(RuntimeError):
-        llr_update(a2, target, th, thp, [4, 2])
+    a1 = llr_update(fresh(6, 13), target, th, thp, 2)
+    before = (a1.m, a1.mean, a1.mean_sq)
+    a2 = llr_update(a1, target, th, thp, 2)
+    # a1 has read only the first two entries, so it may branch onto the next two again
+    b2 = llr_update(a1, target, th, thp, 2)
+    assert (a1.m, a1.mean, a1.mean_sq) == before
+    assert (b2.m, b2.mean, b2.mean_sq) == (a2.m, a2.mean, a2.mean_sq)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 40))
-def test_batched_moments_match_recompute_and_reuse_raises(data, n):
+def test_batched_moments_match_recompute(data, n):
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     target = flat_prior_target(data.draw(st.lists(finite, min_size=n, max_size=n)))
     th = np.array([data.draw(finite)])
     thp = np.array([data.draw(finite)])
-    perm = np.array(data.draw(st.permutations(range(n))))
+    acc = fresh(n, data.draw(st.integers(0, 2**32 - 1)), block=data.draw(st.integers(1, n)))
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)))
-    acc = LLRAccumulator()
     for start, stop in zip([0] + cuts, cuts + [n]):
-        acc = llr_update(acc, target, th, thp, perm[start:stop])
-    ell = target.log_lik_terms(perm, thp) - target.log_lik_terms(perm, th)
+        acc = llr_update(acc, target, th, thp, stop - start)
+    order = acc.order.drawn
+    assert np.array_equal(np.sort(order), np.arange(n))
+    ell = target.log_lik_terms(order, thp) - target.log_lik_terms(order, th)
     big = 1.0 + np.max(np.abs(ell))  # rounding error follows the terms, not their mean
     assert acc.m == n
     assert acc.mean == pytest.approx(np.mean(ell), abs=1e-12 * big)
     assert acc.mean_sq == pytest.approx(np.mean(ell**2), abs=1e-12 * big**2)
-    # re-feed a prefix of the stream plus one index it already consumed
-    k = cuts[0] if cuts else n
-    head = llr_update(LLRAccumulator(), target, th, thp, perm[:k])
-    j = data.draw(st.sampled_from(perm[:k].tolist()))
-    fresh = perm[k:k + data.draw(st.integers(0, n - k))].tolist()
-    batch = data.draw(st.permutations(fresh + [j]))
-    with pytest.raises(RuntimeError):
-        llr_update(head, target, th, thp, batch)
 
 
 # -- t-test rule --------------------------------------------------------------
@@ -322,6 +310,25 @@ def test_c_bound_validation():
         concentration_should_stop(acc, 0.0, 100, cfg, 1, c_value=0.0)
 
 
+BAD_CONFIG = [("batch", 2.5), ("batch", np.float64(3.0)), ("batch", True), ("batch", 0),
+              ("batch", -3), ("epsilon", 1.5), ("epsilon", math.nan), ("p", 1.0),
+              ("p", math.nan), ("geometric", 0.5), ("geometric", math.nan)]
+
+
+@pytest.mark.parametrize("name, value", BAD_CONFIG, ids=[f"{n}={v!r}" for n, v in BAD_CONFIG])
+def test_config_rejects_a_bad_value_naming_it(name, value):
+    with pytest.raises(ValueError, match=rf"{name}.*{re.escape(str(value))}"):
+        StopRuleConfig(**{name: value})
+
+
+def test_config_accepts_a_numpy_integer_batch():
+    target = flat_prior_target(np.random.default_rng(26).standard_normal(200))
+    runs = [run_adaptive_mh(target, gaussian_random_walk(0.3), np.zeros(1), 20,
+                            StopRuleConfig(batch=b), KeyedRng(27)) for b in (5, np.int64(5))]
+    assert np.array_equal(runs[0][0].draws, runs[1][0].draws)
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StopRuleConfig(batch=0)
@@ -349,10 +356,12 @@ def test_tiny_epsilon_recovers_exact_decisions():
     assert np.all(m_used == 40)  # continuous data: stops only at exhaustion
 
 
-def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
-    rng = np.random.default_rng(14)
-    N = 500
-    target = flat_prior_target(rng.standard_normal(N))
+# Above 4 (10 + 1024), so an order drawn in blocks of 10 is drawn lazily.
+LAZY_N = 6000
+
+
+def record_reads(monkeypatch, target):
+    """Wrap ``target.log_lik_terms``; returns the list of index arrays it reads."""
     read = []
     terms = target.log_lik_terms
 
@@ -361,6 +370,21 @@ def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
         return terms(idx, th)
 
     monkeypatch.setattr(target, "log_lik_terms", recording)
+    return read
+
+
+def after_proposal(prop, theta0, seed, t):
+    """Step t's generator of a run keyed ``KeyedRng(seed)``, past its proposal pair."""
+    gen = KeyedRng(seed).derive("step", t)
+    mh_propose(prop, theta0, gen)
+    return gen
+
+
+def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
+    rng = np.random.default_rng(14)
+    N = 500
+    target = flat_prior_target(rng.standard_normal(N))
+    read = record_reads(monkeypatch, target)
     prop = gaussian_random_walk(0.05)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     theta0 = np.array([0.3])
@@ -368,12 +392,7 @@ def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
     # llr_update reads each batch twice, at theta' and at theta
     assert all(np.array_equal(a, b) for a, b in zip(read[::2], read[1::2]))
     got = np.concatenate(read[::2])
-    gen = KeyedRng(15).derive("step", 0)
-    prop.sample(theta0, gen)
-    u = gen.uniform()
-    while not 0.0 < u < 1.0:
-        u = gen.uniform()
-    perm = gen.permutation(N)
+    perm = after_proposal(prop, theta0, 15, 0).permutation(N)
     assert len(read) > 2 and got.size == m_used[0] < N
     assert np.array_equal(got, perm[:got.size])
     assert np.unique(got).size == got.size
@@ -384,8 +403,9 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
     real = subsample.llr_update
 
     def counting(*args):
-        calls.append(len(args[-1]))
-        return real(*args)
+        out = real(*args)
+        calls.append(out.m - args[0].m)
+        return out
 
     monkeypatch.setattr(subsample, "llr_update", counting)
     target = flat_prior_target(np.random.default_rng(16).standard_normal(300))
@@ -393,6 +413,72 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
     _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 1,
                                 cfg, KeyedRng(17))
     assert calls[:5] == [10, 20, 40, 80, 150] and sum(calls) == m_used[0] == 300
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
+    target = flat_prior_target(np.random.default_rng(20).standard_normal(LAZY_N))
+    read = record_reads(monkeypatch, target)
+    prop = gaussian_random_walk(0.05)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
+    theta0 = np.array([0.3])
+    _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
+                            KeyedRng(21).derive("step", t))
+    # llr_update reads each batch twice, at theta' and at theta
+    assert all(np.array_equal(a, b) for a, b in zip(read[::2], read[1::2]))
+    got = np.concatenate(read[::2])
+    assert got.size == m < LAZY_N
+    assert np.unique(got).size == m
+    order = _LazyPermutation(LAZY_N, 10, after_proposal(prop, theta0, 21, t))
+    assert np.array_equal(got, order.draw_to(m)[:m])
+
+
+@pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
+def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
+    target = flat_prior_target(np.random.default_rng(20).standard_normal(LAZY_N))
+    read = record_reads(monkeypatch, target)
+    prop = gaussian_random_walk(0.05)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule=rule)
+    theta0 = np.array([0.3])
+    _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
+                            KeyedRng(22).derive("step", 0))
+    gen = after_proposal(prop, theta0, 22, 0)
+    order = _LazyPermutation(LAZY_N, 10, gen)
+    first = order.draw_to(10)[:10]
+    pilot = gen.choice(LAZY_N, subsample.PILOT_SIZE, replace=False)
+    assert m > 10
+    assert np.array_equal(read[0], first) and np.array_equal(read[1], first)
+    assert np.array_equal(read[2], pilot) and np.array_equal(read[3], pilot)
+    rest = np.concatenate(read[4::2])
+    assert np.array_equal(rest, order.draw_to(m)[10:m])
+    assert np.unique(np.concatenate([first, rest])).size == m
+
+
+@pytest.mark.parametrize("rule", ["ttest", "hoeffding", "bernstein"])
+def test_tiny_epsilon_recovers_exact_decisions_on_a_lazy_order(rule):
+    target = flat_prior_target(np.random.default_rng(23).standard_normal(LAZY_N))
+    cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule=rule)
+    _, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.05),
+                                               np.zeros(1), 30, cfg, KeyedRng(24),
+                                               compare_exact=True)
+    assert disagreements == 0
+    assert np.mean(m_used) > LAZY_N / 2
+
+
+def test_one_batch_step_at_a_million_data_allocates_under_2_mb():
+    # equal data: every LLR is the same, so the t-test stops after the first batch
+    target = flat_prior_target(np.ones(10**6))
+    cfg = StopRuleConfig(batch=100, epsilon=0.05, rule="ttest")
+    prop = gaussian_random_walk(0.5)
+    tracemalloc.start()
+    try:
+        _, m = adaptive_mh_step(target, prop, ChainState(np.zeros(1)), cfg,
+                                KeyedRng(25).derive("step", 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 100
+    assert peak < 2_000_000
 
 
 def test_pilot_c_bound_positive_and_scaled():

@@ -58,6 +58,34 @@ def test_sync_every_below_one_or_not_int_raises_naming_value(bad):
         weierstrass_run(SUBS_1D, np.zeros(1), 0.5, 3, sync_every=bad, rng=KeyedRng(2))
 
 
+@pytest.mark.parametrize("subs", [SUBS_1D, callable_subs()], ids=["analytic", "callable"])
+def test_xi_streams_are_keyed_under_the_runs_rng(subs, monkeypatch):
+    J, inner = len(subs), 3
+    outs = []
+    real = weierstrass.xi_update
+
+    def spy(state, j, *args):
+        out = real(state, j, *args)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(weierstrass, "xi_update", spy)
+    theta0 = np.array([0.25])
+    runs = {}
+    for name in ("a", "b"):
+        rng = KeyedRng(5).child(name)
+        outs.clear()
+        # the same cluster seed for both runs: the streams must come from rng alone
+        weierstrass_run(subs, theta0, 0.5, 1, inner_steps=inner, rng=rng,
+                        cluster=SimCluster(J, seed=5))
+        start = weierstrass.WeierstrassState(theta=theta0, xi=np.tile(theta0, (J, 1)), h=0.5)
+        for j in range(J):
+            expected = real(start, j, subs[j], inner, rng.derive("xi", j, 0))
+            assert np.array_equal(outs[j], expected)
+        runs[name] = np.array(outs)
+    assert not np.any(runs["a"] == runs["b"])
+
+
 # -- snapshot isolation ---------------------------------------------------------
 
 @pytest.mark.parametrize("subs", [SUBS_1D, callable_subs()], ids=["analytic", "callable"])
