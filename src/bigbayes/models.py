@@ -124,6 +124,12 @@ class FactoredTarget:
     The likelihood is given only as batch kernels: ``log_lik_terms(idx,
     theta)`` returns the m log-likelihood terms of a batch of m term
     indices and ``grad_log_lik_terms(idx, theta)`` their (m, d) gradients.
+    ``log_lik_terms`` also takes a stack of k parameters, theta of shape
+    (k, d), and returns the (k, m) terms, row i at ``theta[i]``: a
+    subsampling test evaluates a batch at theta' and theta in one call
+    (``subsample.llr_terms``), so the batch is gathered once. A kernel that
+    reads ``theta[0]`` as the first coordinate breaks this; index the last
+    axis instead (``theta[..., :1]``). The gradient kernel takes one theta.
     A missing ``grad_log_prior`` or ``grad_log_lik_terms`` falls back to
     central finite differences, the latter taken over the whole batch at
     once (``finite_difference_gradient`` of the array-valued
@@ -206,8 +212,8 @@ def gaussian_mean_target(spec: "GaussianModelSpec") -> FactoredTarget:
 
     def log_lik_terms(idx, th):
         rows = _rows(idx, len(obs))
-        r = _take(obs, rows) - th
-        return -0.5 * np.einsum("ji,jik,jk->j", r, _take(shard_precs, rows), r)
+        r = _take(obs, rows) - th[..., None, :]
+        return -0.5 * np.einsum("...ji,jik,...jk->...j", r, _take(shard_precs, rows), r)
 
     def grad_log_lik_terms(idx, th):
         rows = _rows(idx, len(obs))
@@ -229,7 +235,7 @@ def gaussian_iid_target(xs, prior_var: float = 1.0, lik_var: float = 1.0) -> Fac
     const = -0.5 * np.log(2 * np.pi * lik_var)
 
     def log_lik_terms(idx, th):
-        return -0.5 * (_take(xs, _rows(idx, len(xs))) - th[0]) ** 2 / lik_var + const
+        return -0.5 * (_take(xs, _rows(idx, len(xs))) - th[..., :1]) ** 2 / lik_var + const
 
     def grad_log_lik_terms(idx, th):
         return ((_take(xs, _rows(idx, len(xs))) - th[0]) / lik_var)[:, None]

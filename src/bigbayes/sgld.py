@@ -96,10 +96,7 @@ class MinibatchPlan:
             perm = _LazyPermutation(self.n_data, self.batch_size,
                                     self.rng.derive("epoch", epoch))
             object.__setattr__(self, "_epoch_perm", (epoch, perm))
-        drawn = perm.drawn
-        if len(drawn) < stop:
-            drawn = perm.draw_to(stop)
-        return drawn[start:stop].copy()
+        return perm.read(start, stop).copy()
 
 
 def stochastic_grad(target: FactoredTarget, theta, batch_indices) -> np.ndarray:

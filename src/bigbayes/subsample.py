@@ -1,15 +1,22 @@
 """Approximate Metropolis-Hastings with adaptive data-subsampling stopping rules.
 
 Each test reads likelihood terms in batches that are consecutive slices of
-its own lazily drawn permutation of the data (``rng._LazyPermutation``,
-blocks of ``batch``, then doubling), until either a t-statistic test or a
-concentration inequality (Hoeffding without replacement, or empirical
-Bernstein) says the subsampled accept/reject decision matches the full-data
-decision with high probability. Exhausting the data always recovers the
-exact MH test. No index is read twice in one test by construction: the
-accumulator's read count is its position in the permutation, so a step does
+its own lazily drawn order of the data (``rng._LazyPermutation`` with
+``ordered=False``: blocks of ``batch``, then doubling, each a sorted
+uniform random subset of the indices not yet read), until either a
+t-statistic test or a concentration inequality (Hoeffding without
+replacement, or empirical Bernstein) says the subsampled accept/reject
+decision matches the full-data decision with high probability. Exhausting
+the data always recovers the exact MH test. A test reads each batch only
+as a set, so the order is not shuffled within a block unless a batch ends
+inside one. No index is read twice in one test by construction: the
+accumulator's read count is its position in the order, so a step does
 O(read) index work. Where N <= 4 (batch + 1024) the first read draws the
 whole ``permutation(N)``.
+
+Each batch is gathered once: ``llr_terms`` evaluates the terms at theta'
+and theta in one call of the target's batch kernel, on the stacked (2, d)
+parameters.
 """
 
 import math
@@ -43,9 +50,10 @@ PILOT_SAFETY = 1.5
 @dataclass
 class LLRAccumulator:
     """Running first and second raw moments of the log-likelihood ratios at
-    the first ``m`` entries of ``order``, the test's index permutation.
+    the first ``m`` entries of ``order``, the test's index order.
 
-    ``order`` only grows and is fixed by its generator, so accumulators that
+    ``order`` only grows, and an entry once read keeps its block (a block
+    held as a set may later be shuffled within itself), so accumulators that
     share it may branch: each reads on from its own ``m``.
     """
 
@@ -99,9 +107,17 @@ def mh_log_threshold(u: float, theta, theta_new, proposal: ProposalDist,
 
 
 def llr_terms(target: FactoredTarget, idx, theta, theta_new) -> np.ndarray:
-    """Log-likelihood ratios l_n(theta') - l_n(theta) at the term indices ``idx``."""
-    return (target.log_lik_terms(idx, np.asarray(theta_new, float))
-            - target.log_lik_terms(idx, np.asarray(theta, float)))
+    """Log-likelihood ratios l_n(theta') - l_n(theta) at the term indices
+    ``idx``, from one kernel call on the stacked (2, d) parameters, so the
+    batch is gathered once."""
+    pair = np.stack([np.asarray(theta_new, float), np.asarray(theta, float)])
+    terms = target.log_lik_terms(idx, pair)
+    want = (2, len(idx))
+    if np.shape(terms) != want:
+        raise ValueError(f"log_lik_terms on a stacked (2, d) theta returned shape "
+                         f"{np.shape(terms)}, expected {want}: a batch kernel must take "
+                         f"theta of shape (k, d) and return (k, m)")
+    return terms[0] - terms[1]
 
 
 def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
@@ -113,11 +129,14 @@ def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
     so no index repeats, and updating one accumulator twice reads the same
     indices both times. The order is drawn only as far as it is read.
     """
-    idx = acc.order.draw_to(acc.m + k)[acc.m:acc.m + k]
+    if acc.order is None:
+        raise ValueError("llr_update needs an accumulator with an order to read "
+                         "(LLRAccumulator.order is None)")
+    idx = acc.order.read(acc.m, acc.m + k)
     ell = llr_terms(target, idx, theta, theta_new)
     m_new = acc.m + len(idx)
     mean = (acc.m * acc.mean + float(np.sum(ell))) / m_new
-    mean_sq = (acc.m * acc.mean_sq + float(np.sum(ell**2))) / m_new
+    mean_sq = (acc.m * acc.mean_sq + float(ell @ ell)) / m_new
     return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq, order=acc.order)
 
 
@@ -189,13 +208,13 @@ def _resolve_c(cfg: StopRuleConfig, target, theta, theta_new, rng) -> float:
 
 
 def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
-    """Read batches from a fresh lazy permutation until the rule stops; a
+    """Read batches from a fresh lazy order until the rule stops; a
     concentration rule resolves C at its first stop check.
 
     Returns (accept, m_used).
     """
     N = target.n_data
-    acc = LLRAccumulator(order=_LazyPermutation(N, cfg.batch, rng))
+    acc = LLRAccumulator(order=_LazyPermutation(N, cfg.batch, rng, ordered=False))
     c_value = None
     min_m = 1 if cfg.rule == "hoeffding" else 2
     batch = cfg.batch
@@ -223,7 +242,7 @@ def _check_has_data(target: FactoredTarget):
 
 def _subsampled_decision(target, proposal, theta, cfg, gen):
     """(theta', psi, accept, m_used) of one step; draws follow
-    ``mcmc.mh_propose``, then the permutation's first block at the first
+    ``mcmc.mh_propose``, then the order's first block at the first
     read, then (Hoeffding and Bernstein without a given C) the pilot at the
     first stop check, then any later blocks as they are read."""
     theta_new, u = mh_propose(proposal, theta, gen)

@@ -15,6 +15,7 @@ from bigbayes.models import (
     FactoredTarget,
     GaussianModelSpec,
     finite_difference_gradient,
+    gaussian_iid_target,
     gaussian_mean_target,
     gaussian_posterior,
     gaussian_subposterior,
@@ -412,6 +413,56 @@ def test_logistic_bound_is_tight_against_the_target_on_every_datum(d):
     assert np.max(np.abs(gap)) <= BOUND_SLACK
     idx = np.random.default_rng(d).permutation(len(y))[:2000]
     assert np.max(bound.log_bound_batch(idx, th) - target.log_lik_terms(idx, th)) <= BOUND_SLACK
+
+
+# -- stacked parameters: one batch kernel call for k thetas -------------------
+
+def _stacked_case(kind, gen, n, d):
+    """(target, scale) for a target of this kind on random data; ``scale(idx,
+    th)`` is the sum of the magnitudes of what each term adds up, the size
+    its rounding error follows."""
+    if kind == "logistic":
+        X = gen.standard_normal((n, d)) * gen.choice([0.01, 1.0, 100.0])
+        y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+        A = X * y[:, None]
+        # |d log sigma / dz| <= 1, so a term's error follows its margin's
+        return logistic_regression_target(X, y), lambda idx, th: np.abs(A[idx]) @ np.abs(th)
+    if kind == "gaussian_iid":
+        xs = gen.standard_normal(n) * 10.0
+        target = gaussian_iid_target(xs, prior_var=2.0, lik_var=0.7)
+        const = 0.5 * np.log(2 * np.pi * 0.7)
+        return target, lambda idx, th: 0.5 * (xs[idx] - th[0]) ** 2 / 0.7 + const
+    covs = [random_spd(d, gen) for _ in range(n)]
+    obs = [gen.standard_normal(d) * 3.0 for _ in range(n)]
+    target = gaussian_mean_target(GaussianModelSpec(np.eye(d), tuple(covs), tuple(obs)))
+    precs, xs = np.abs(np.linalg.inv(np.array(covs))), np.array(obs)
+    return target, lambda idx, th: 0.5 * np.einsum(
+        "ji,jik,jk->j", np.abs(xs[idx] - th), precs[idx], np.abs(xs[idx] - th))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["logistic", "gaussian_iid", "gaussian_mean"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6),
+       k=st.integers(1, 3), data=st.data())
+def test_stacked_thetas_give_each_thetas_terms(kind, seed, n, d, k, data):
+    # row i of a call on a (k, d) stack is the call on theta[i], to within
+    # 4 ulp of the term's scale (the stacked logistic margins are one matrix
+    # product, which may sum in another order than the vector product)
+    gen = np.random.default_rng(seed)
+    d = 1 if kind == "gaussian_iid" else d
+    target, scale = _stacked_case(kind, gen, n, d)
+    thetas = gen.standard_normal((k, d)) * gen.choice([0.1, 1.0, 10.0])
+    start = data.draw(st.integers(0, n))
+    batches = [gen.integers(0, n, data.draw(st.integers(0, 2 * n))),
+               range(start, data.draw(st.integers(start, n))), range(n)]
+    for idx in batches:
+        rows = np.arange(idx.start, idx.stop) if isinstance(idx, range) else idx
+        stacked = target.log_lik_terms(idx, thetas)
+        assert stacked.shape == (k, len(rows))
+        for i, th in enumerate(thetas):
+            one = target.log_lik_terms(idx, th)
+            tol = 4 * np.spacing(np.maximum(np.abs(one), scale(rows, th)))
+            assert np.all(np.abs(stacked[i] - one) <= tol)
 
 
 # -- what the logistic kernels keep in memory --------------------------------

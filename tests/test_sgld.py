@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -150,6 +151,16 @@ def test_lazy_blocks_are_uniform_ordered_draws(monkeypatch, m):
         counts[tuple(first.tolist())] += 1
     assert sum(counts.values()) == seeds
     assert stats.chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def test_lazy_epoch_batches_are_pinned():
+    # sha256 of one epoch of batches (int64, little-endian): any change to
+    # how an ordered lazy epoch is drawn, or to its generator calls, moves it
+    plan = MinibatchPlan(10**5, 100, KeyedRng(0))
+    h = hashlib.sha256()
+    for t in range(plan.batches_per_epoch):
+        h.update(plan.indices(t).astype("<i8").tobytes())
+    assert h.hexdigest() == "64519beb9f844e41c38808f0de29cb0259551eb5eb478adf9423859255e07e69"
 
 
 def test_lazy_plan_reads_only_what_it_serves():

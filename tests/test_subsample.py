@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bigbayes import rng as rng_module
 from bigbayes import subsample
 from bigbayes.mcmc import ChainState, gaussian_random_walk, mh_propose
 from bigbayes.models import FactoredTarget, logistic_regression_target
@@ -18,6 +20,7 @@ from bigbayes.subsample import (
     StopRuleConfig,
     adaptive_mh_step,
     concentration_should_stop,
+    llr_terms,
     llr_update,
     mh_log_threshold,
     pilot_c_bound,
@@ -31,7 +34,7 @@ def flat_prior_target(values):
     xs = np.asarray(values, dtype=float)
 
     def terms(idx, th):
-        return -0.5 * (xs[np.asarray(idx)] - th[0]) ** 2
+        return -0.5 * (xs[np.asarray(idx)] - th[..., :1]) ** 2
 
     return FactoredTarget(dim=1, n_data=len(xs), log_prior=lambda th: 0.0,
                           log_lik_terms=terms)
@@ -191,6 +194,33 @@ def test_update_leaves_its_input_accumulator_unchanged():
     assert (b2.m, b2.mean, b2.mean_sq) == (a2.m, a2.mean, a2.mean_sq)
 
 
+def test_llr_terms_rejects_a_kernel_that_reads_only_the_first_theta():
+    # th[0] of a (2, d) stack is theta' alone: its terms come back as one row
+    xs = np.arange(5.0)
+    target = FactoredTarget(dim=1, n_data=5, log_prior=lambda th: 0.0,
+                            log_lik_terms=lambda idx, th: -0.5 * (xs[idx] - th[0]) ** 2)
+    with pytest.raises(ValueError, match=r"returned shape \(3,\), expected \(2, 3\)"):
+        llr_terms(target, np.array([0, 2, 4]), np.zeros(1), np.ones(1))
+
+
+def test_llr_terms_is_one_kernel_call_per_batch(monkeypatch):
+    xs = np.random.default_rng(30).standard_normal(20)
+    target = flat_prior_target(xs)
+    read = record_reads(monkeypatch, target)
+    idx = np.array([3, 1, 4, 1, 5])
+    th, thp = np.array([0.2]), np.array([-0.4])
+    ell = llr_terms(target, idx, th, thp)
+    assert len(read) == 1 and np.array_equal(read[0], idx)
+    want = -0.5 * (xs[idx] - thp[0]) ** 2 + 0.5 * (xs[idx] - th[0]) ** 2
+    assert ell == pytest.approx(want, abs=1e-12)
+
+
+def test_update_without_an_order_names_it():
+    target = flat_prior_target(np.zeros(4))
+    with pytest.raises(ValueError, match="order"):
+        llr_update(LLRAccumulator(), target, np.zeros(1), np.ones(1), 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 40))
 def test_batched_moments_match_recompute(data, n):
@@ -202,7 +232,7 @@ def test_batched_moments_match_recompute(data, n):
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6)))
     for start, stop in zip([0] + cuts, cuts + [n]):
         acc = llr_update(acc, target, th, thp, stop - start)
-    order = acc.order.drawn
+    order = acc.order.read(0, n)
     assert np.array_equal(np.sort(order), np.arange(n))
     ell = target.log_lik_terms(order, thp) - target.log_lik_terms(order, th)
     big = 1.0 + np.max(np.abs(ell))  # rounding error follows the terms, not their mean
@@ -389,11 +419,10 @@ def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     theta0 = np.array([0.3])
     _, m_used = run_adaptive_mh(target, prop, theta0, 1, cfg, KeyedRng(15))
-    # llr_update reads each batch twice, at theta' and at theta
-    assert all(np.array_equal(a, b) for a, b in zip(read[::2], read[1::2]))
-    got = np.concatenate(read[::2])
+    # llr_update reads each batch once, for theta' and theta together
+    got = np.concatenate(read)
     perm = after_proposal(prop, theta0, 15, 0).permutation(N)
-    assert len(read) > 2 and got.size == m_used[0] < N
+    assert len(read) > 1 and got.size == m_used[0] < N
     assert np.array_equal(got, perm[:got.size])
     assert np.unique(got).size == got.size
 
@@ -424,13 +453,16 @@ def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
     theta0 = np.array([0.3])
     _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
                             KeyedRng(21).derive("step", t))
-    # llr_update reads each batch twice, at theta' and at theta
-    assert all(np.array_equal(a, b) for a, b in zip(read[::2], read[1::2]))
-    got = np.concatenate(read[::2])
+    # llr_update reads each batch once, for theta' and theta together
+    got = np.concatenate(read)
     assert got.size == m < LAZY_N
     assert np.unique(got).size == m
-    order = _LazyPermutation(LAZY_N, 10, after_proposal(prop, theta0, 21, t))
-    assert np.array_equal(got, order.draw_to(m)[:m])
+    order = _LazyPermutation(LAZY_N, 10, after_proposal(prop, theta0, 21, t), ordered=False)
+    start = 0
+    for batch in read:  # each batch is read as a set
+        stop = start + len(batch)
+        assert np.array_equal(np.sort(batch), np.sort(order.read(start, stop)))
+        start = stop
 
 
 @pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
@@ -443,14 +475,15 @@ def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
     _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
                             KeyedRng(22).derive("step", 0))
     gen = after_proposal(prop, theta0, 22, 0)
-    order = _LazyPermutation(LAZY_N, 10, gen)
-    first = order.draw_to(10)[:10]
+    order = _LazyPermutation(LAZY_N, 10, gen, ordered=False)
+    first = order.read(0, 10)
     pilot = gen.choice(LAZY_N, subsample.PILOT_SIZE, replace=False)
     assert m > 10
-    assert np.array_equal(read[0], first) and np.array_equal(read[1], first)
-    assert np.array_equal(read[2], pilot) and np.array_equal(read[3], pilot)
-    rest = np.concatenate(read[4::2])
-    assert np.array_equal(rest, order.draw_to(m)[10:m])
+    # one read per batch and one for the pilot, each for theta' and theta together
+    assert np.array_equal(np.sort(read[0]), np.sort(first))
+    assert np.array_equal(read[1], pilot)
+    rest = np.concatenate(read[2:])
+    assert np.array_equal(np.sort(rest), np.sort(order.read(10, m)))
     assert np.unique(np.concatenate([first, rest])).size == m
 
 
@@ -479,6 +512,97 @@ def test_one_batch_step_at_a_million_data_allocates_under_2_mb():
         tracemalloc.stop()
     assert m == 100
     assert peak < 2_000_000
+
+
+def test_first_batch_at_a_million_data_allocates_no_data_sized_mask():
+    # nothing has been read before the first batch, so it is drawn without
+    # the n-byte mask of the indices already read (1 MB here)
+    target = flat_prior_target(np.ones(10**6))
+    cfg = StopRuleConfig(batch=100, epsilon=0.05, rule="ttest")
+    tracemalloc.start()
+    try:
+        _, m = adaptive_mh_step(target, gaussian_random_walk(0.5), ChainState(np.zeros(1)),
+                                cfg, KeyedRng(28).derive("step", 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 100
+    assert peak < 100_000
+
+
+def test_set_batches_are_uniform_subsets(monkeypatch):
+    # every block lazy until the last at n = 6: the first batch of 2 is a
+    # rejection draw, uniform over the 15 pairs; the second ends inside the
+    # last block (the 4 left, held as a set), which is shuffled, so it is
+    # uniform over the 6 pairs of those 4
+    monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
+    n, seeds = 6, 6000
+    pairs = list(itertools.combinations(range(n), 2))
+    counts = {(a, b): 0 for a in pairs for b in pairs if not set(a) & set(b)}
+    for seed in range(seeds):
+        order = _LazyPermutation(n, 2, np.random.default_rng(seed), ordered=False)
+        first = tuple(sorted(order.read(0, 2).tolist()))
+        second = tuple(sorted(order.read(2, 4).tolist()))
+        counts[first, second] += 1
+    assert len(counts) == 15 * 6 and sum(counts.values()) == seeds
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def test_a_read_inside_a_set_block_keeps_what_was_read(monkeypatch):
+    monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
+    order = _LazyPermutation(50, 4, np.random.default_rng(29), ordered=False)
+    first, second = order.read(0, 4).copy(), order.read(4, 12).copy()
+    assert np.all(np.diff(first) > 0) and np.all(np.diff(second) > 0)  # sorted sets
+    head = order.read(0, 6).copy()  # ends inside the block 4..12, which is shuffled first
+    assert np.array_equal(head[:4], first)
+    after = order.read(0, 12).copy()
+    assert np.array_equal(after[:6], head)  # shuffled once, then fixed
+    assert np.array_equal(np.sort(after[4:]), second)
+    mid = order.read(2, 9).copy()  # starts inside the block 0..4, which is shuffled in turn
+    assert np.array_equal(mid[2:], after[4:9])
+    assert np.array_equal(np.sort(order.read(0, 4)), first)
+    fixed = order.read(0, 12).copy()
+    assert np.array_equal(fixed[2:9], mid) and np.array_equal(order.read(2, 9), mid)
+    whole = order.read(0, 50)
+    assert np.array_equal(whole[:12], fixed) and np.array_equal(np.sort(whole), np.arange(50))
+
+
+def test_a_read_from_inside_a_set_block_is_a_uniform_subset(monkeypatch):
+    # read(1, 2) starts and ends inside the first block {a < b}: without a
+    # shuffle it would always return the larger index
+    monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
+    got = [_LazyPermutation(6, 2, np.random.default_rng(s), ordered=False).read(1, 2)[0]
+           for s in range(3000)]
+    counts = np.bincount(got, minlength=6)
+    assert stats.chisquare(counts).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (7, 5)])
+def test_subset_mask_is_uniform(n, k):
+    # positions 0 and 2 are ineligible; the count kept before the fix-up
+    # varies around k, so both dropping a surplus and adding a shortfall occur
+    gen = np.random.default_rng(n * k)
+    among = np.ones(n + 2, dtype=bool)
+    among[[0, 2]] = False
+    subsets = list(itertools.combinations(np.flatnonzero(among).tolist(), k))
+    counts = dict.fromkeys(subsets, 0)
+    for _ in range(100 * len(subsets)):
+        pick = rng_module._subset_mask(gen, among, k)
+        counts[tuple(np.flatnonzero(pick).tolist())] += 1
+    assert sum(counts.values()) == 100 * len(subsets)
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-4
+
+
+def test_large_set_order_is_sorted_blocks_of_every_index():
+    n = 10**5
+    order = _LazyPermutation(n, 100, np.random.default_rng(31), ordered=False)
+    start, k = 0, 100
+    while start < n:  # the batches of a test that reads all n
+        stop = min(n, start + k)
+        block = order.read(start, stop)
+        assert np.all(np.diff(block) > 0)
+        start, k = stop, 2 * k
+    assert np.array_equal(np.sort(order.read(0, n)), np.arange(n))
 
 
 def test_pilot_c_bound_positive_and_scaled():
