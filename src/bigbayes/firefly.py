@@ -7,6 +7,10 @@ fixed-size vector kept incrementally as indicators flip, so a step
 evaluates likelihood terms only for bright points and for the indicators
 being resampled. The theta marginal of the augmented chain is the exact
 posterior.
+
+That sum is the one incremental cache: a flip sets
+``FireflyState.log_joint_aug`` to None, and the next theta-move computes
+the augmented log joint afresh with ``flymc_log_joint``.
 """
 
 import math
@@ -139,7 +143,7 @@ class FireflyState:
     theta: np.ndarray
     z: np.ndarray                      # (N,) bool, True = bright
     dark_stat_sum: np.ndarray          # bound.dark_stat_sum of the dark points
-    log_joint_aug: Optional[float] = None
+    log_joint_aug: Optional[float] = None  # flymc_log_joint; None after a flip
     bright: Optional[np.ndarray] = None    # np.flatnonzero(z)
 
     def __post_init__(self):
@@ -167,18 +171,15 @@ def _check_bound(diff):
 
 def brightness_prob(n: int, theta, target: FactoredTarget, bound: LikelihoodBound) -> float:
     """P(z_n = 1 | theta) = (L_n - B_n)/L_n, clipped to [0, 1]."""
-    probs, _, _ = _brightness_probs(np.array([n]), np.asarray(theta, float), target, bound)
-    return float(probs[0])
+    return float(_brightness_probs(np.array([n]), np.asarray(theta, float), target, bound)[0])
 
 
 def _brightness_probs(idx, theta, target, bound):
-    """(P(z = 1 | theta), log L, log B) at the terms ``idx``."""
-    log_l = target.log_lik_terms(idx, theta)
-    log_b = bound.log_bound_batch(idx, theta)
-    diff = log_b - log_l
+    """P(z = 1 | theta) at the terms ``idx``."""
+    diff = bound.log_bound_batch(idx, theta) - target.log_lik_terms(idx, theta)
     _check_bound(diff)
     # -expm1 of a value <= 0 lies in [0, 1), so no clip is needed; NaN stays NaN
-    return -np.expm1(np.minimum(diff, 0.0)), log_l, log_b
+    return -np.expm1(np.minimum(diff, 0.0))
 
 
 def init_firefly(target, bound, theta0, rng: np.random.Generator,
@@ -188,7 +189,7 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
     if init == "dark":
         z = np.zeros(N, dtype=bool)
     elif init == "sample":
-        probs = _brightness_probs(range(N), theta0, target, bound)[0]
+        probs = _brightness_probs(range(N), theta0, target, bound)
         z = rng.random(N) < probs
     else:
         raise ValueError(f"unknown init {init!r}")
@@ -216,9 +217,11 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
                         rng: np.random.Generator):
     """Redraw a random ceil(rho_z N) subset of indicators at the current theta.
 
-    Returns (state', n_likelihood_evals). The dark statistic aggregate and
-    the cached augmented log joint are updated incrementally; ``z`` is
-    copied and the bright indices found again only when an indicator flips.
+    Returns (state', n_likelihood_evals). The dark statistic aggregate is
+    updated incrementally; ``z`` is copied and the bright indices found
+    again only when an indicator flips. A flip drops the cached augmented
+    log joint (``log_joint_aug`` becomes None), which the next theta-move's
+    ``mh_step`` evaluates afresh with ``flymc_log_joint``.
     """
     if not 0.0 < rho_z <= 1.0:
         raise ValueError("rho_z must lie in (0, 1]")
@@ -226,8 +229,7 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     k = math.ceil(rho_z * N)
     idx = rng.choice(N, size=k, replace=False)
     theta = state.theta
-    probs, log_l, log_b = _brightness_probs(idx, theta, target, bound)
-    new_z = rng.random(k) < probs
+    new_z = rng.random(k) < _brightness_probs(idx, theta, target, bound)
 
     z, bright = state.z, state.bright
     changed = z[idx] != new_z
@@ -238,12 +240,7 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
         to_bright = new_z[changed]
         stat_sum = (stat_sum + bound.dark_stat_sum(ch_idx[~to_bright])
                     - bound.dark_stat_sum(ch_idx[to_bright]))
-        if lj is not None:
-            contrib_bright = _log_diff(log_l[changed], log_b[changed])
-            contrib_dark = log_b[changed]
-            lj = lj + float(np.sum(np.where(to_bright,
-                                            contrib_bright - contrib_dark,
-                                            contrib_dark - contrib_bright)))
+        lj = None
         z = z.copy()
         z[idx] = new_z
         bright = np.flatnonzero(z)
@@ -296,7 +293,8 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
 
 
 def check_coherence(state: FireflyState, target, bound, atol: float = 1e-8):
-    """Debug invariant: the dark aggregate equals a fresh sum over dark points."""
+    """Debug invariant: the bright indices, the dark aggregate and any cached
+    augmented log joint equal a fresh recomputation."""
     if not np.array_equal(state.bright, np.flatnonzero(state.z)):
         raise AssertionError(f"bright index cache incoherent: {state.bright}")
     fresh = bound.dark_stat_sum(np.flatnonzero(~state.z))

@@ -1,8 +1,7 @@
 """Serial Metropolis-Hastings and Gibbs kernels.
 
-Monte Carlo estimators with burn-in policies, the vanishing-adaptation
-proposal recursion, finite-space detailed balance checking, and the fixed
-tree-order parallel likelihood reduction.
+Monte Carlo estimators with burn-in policies, finite-space detailed balance
+checking, and the fixed tree-order parallel likelihood reduction.
 
 All densities are handled in log space and acceptance is decided via
 ``log u < log alpha``. ``mh_step`` is the one full MH transition: exact MH,
@@ -37,8 +36,6 @@ __all__ = [
     "gibbs_sweep",
     "run_gibbs",
     "mc_estimate",
-    "adaptive_proposal_update",
-    "adaptation_rate",
     "detailed_balance_check",
     "enumerate_mh_kernel",
     "parallel_log_lik",
@@ -76,7 +73,6 @@ def gaussian_random_walk(scale) -> ProposalDist:
 @dataclass
 class ChainState:
     theta: np.ndarray
-    it: int = 0
     log_joint: Optional[float] = None
 
 
@@ -149,8 +145,9 @@ def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Ge
 
     ``target`` may be a FactoredTarget or any object with ``log_joint``.
     A non-finite log joint at the proposal counts as a rejection, never a
-    crash. A state without a log joint is evaluated first, and a NaN or
-    +inf there raises ValueError. Draws follow ``mh_propose``.
+    crash. A state without a log joint (a chain's start, or a FlyMC state
+    whose indicators flipped) is evaluated first, and a NaN or +inf there
+    raises ValueError. Draws follow ``mh_propose``.
     """
     theta = state.theta
     if state.log_joint is None:
@@ -159,8 +156,8 @@ def mh_step(target, proposal: ProposalDist, state: ChainState, rng: np.random.Ge
     lj_new = _finite_or_neginf(target.log_joint, theta_new)
     log_alpha = mh_log_alpha(lj_new - state.log_joint, proposal, theta, theta_new)
     if math.log(u) < log_alpha:
-        return ChainState(theta_new, state.it + 1, lj_new), True
-    return ChainState(theta, state.it + 1, state.log_joint), False
+        return ChainState(theta_new, lj_new), True
+    return ChainState(theta, state.log_joint), False
 
 
 def run_chain(step: Callable, state, T: int, rng: KeyedRng):
@@ -242,36 +239,6 @@ def mc_estimate(buffer, f: Callable, policy: str = "last_half") -> float:
     if T == 0:
         raise ValueError("empty sample buffer")
     return float(np.mean([f(th) for th in draws[_burn_in_window(policy, T)]]))
-
-
-# ---------------------------------------------------------------------------
-# Vanishing adaptation
-# ---------------------------------------------------------------------------
-
-def adaptation_rate(t: int, alpha: float = 0.6) -> float:
-    """Schedule gamma_t = t^-alpha for steps t >= 1, alpha in [1/2, 1)."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got t={t}")
-    if not 0.5 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [1/2, 1)")
-    return float(t) ** -alpha
-
-
-def adaptive_proposal_update(mu, sigma, theta_new, gamma: float):
-    """One step of the vanishing-adaptation recursion for (mean, covariance).
-
-    Returns the updated pair; with gamma <= 1 the covariance stays symmetric
-    PSD because the update is a convex combination with a rank-one term.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    theta_new = np.asarray(theta_new, dtype=float)
-    delta = theta_new - mu
-    mu_next = mu + gamma * delta
-    sigma_next = sigma + gamma * (np.outer(delta, delta) - sigma)
-    return mu_next, 0.5 * (sigma_next + sigma_next.T)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
 
 @dataclass
 class _Node:
-    key: str                      # accept-node key relative to current root
     theta: np.ndarray
     uid: int
     lj: Optional[float] = None    # None until evaluated
@@ -88,7 +87,7 @@ class SpecTree:
         # keyed by chain position: theta' depends on the path only via the parent
         theta_new, u = mh_propose(self.proposal, parent_theta, self.rng.derive("step", step))
         self.us[step] = u
-        node = _Node(key=key, theta=np.asarray(theta_new, float), uid=self._next_uid)
+        node = _Node(theta=np.asarray(theta_new, float), uid=self._next_uid)
         self._next_uid += 1
         self.nodes[key] = node
         return node
@@ -126,8 +125,7 @@ class SpecTree:
             if key == bit and bit == "1":
                 continue  # became the root
             if key.startswith(bit):
-                node.key = key[1:]
-                survivors[node.key] = node
+                survivors[key[1:]] = node
             else:
                 self.unresolved_uids.discard(node.uid)
         self.nodes = survivors
@@ -150,23 +148,20 @@ def constant_predictor(p: float = 0.234) -> Callable:
 
 
 def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable:
-    """Predict P(accept) from a likelihood subsample, mirroring the
-    adaptive-subsampling estimate of the log ratio."""
+    """Predict P(accept) as exp(min(0, log alpha)), with the log-likelihood
+    ratio estimated from a subsample of ``batch_size`` terms, as in
+    adaptive-subsampling MH, and the Hastings term from ``mh_log_alpha``."""
     gen = np.random.default_rng(seed)
 
     def predict(tree, parent_key, child_key):
-        parent_theta = tree.state_for_prefix(parent_key)
-        child = tree.materialize(child_key)
-        n = target.n_data
-        if n == 0:
-            lam = target.log_prior(child.theta) - target.log_prior(parent_theta)
-            return min(1.0, math.exp(min(0.0, lam)))
-        idx = gen.choice(n, size=min(batch_size, n), replace=False)
-        ell = llr_terms(target, idx, parent_theta, child.theta)
-        est = float(np.mean(ell)) * n + target.log_prior(child.theta) - target.log_prior(
-            parent_theta
-        )
-        return min(1.0, math.exp(min(0.0, est)))
+        theta = tree.state_for_prefix(parent_key)
+        theta_new = tree.materialize(child_key).theta
+        n, mean = target.n_data, 0.0
+        if n:
+            idx = gen.choice(n, size=min(batch_size, n), replace=False)
+            mean = float(np.mean(llr_terms(target, idx, theta, theta_new)))
+        est = mean * n + target.log_prior(theta_new) - target.log_prior(theta)
+        return math.exp(min(0.0, mh_log_alpha(est, tree.proposal, theta, theta_new)))
 
     return predict
 

@@ -247,8 +247,8 @@ class _LazyPermutation:
     def _reject(self, k: int) -> np.ndarray:
         """k distinct undrawn indices by rejection, marked in the mask (the
         first block, drawn before there is one, is checked against its own
-        earlier rounds): the sorted parts of successive rounds, concatenated
-        in the order drawn."""
+        earlier rounds by binary search): the sorted parts of successive
+        rounds, concatenated in the order drawn."""
         gen, n = self._gen, self._n
         mask = self._drawn_mask() if self._blocks else None
         parts, short = [], k
@@ -257,7 +257,8 @@ class _LazyPermutation:
             keep = np.ones(len(c), dtype=bool) if mask is None else ~mask[c]
             keep[1:] &= c[1:] != c[:-1]
             if mask is None and parts:
-                keep &= ~np.isin(c, np.concatenate(parts))
+                seen = np.sort(np.concatenate(parts))
+                keep &= seen[np.searchsorted(seen, c).clip(max=len(seen) - 1)] != c
             c = c.compress(keep)
             if mask is not None:
                 mask[c] = True

@@ -261,7 +261,7 @@ def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
     _check_has_data(target)
     theta_new, _, accept, m_used = _subsampled_decision(target, proposal, state.theta, cfg, rng)
     new_theta = theta_new if accept else state.theta
-    return ChainState(np.asarray(new_theta, float), state.it + 1), m_used
+    return ChainState(np.asarray(new_theta, float)), m_used
 
 
 def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
@@ -282,7 +282,7 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
         if compare_exact:
             lam = float(np.mean(llr_terms(target, all_idx, theta, theta_new)))
             disagree = (lam > psi) != accept
-        return ChainState(theta_new if accept else theta, state.it + 1), accept, m, disagree
+        return ChainState(theta_new if accept else theta), accept, m, disagree
 
     buf, _, stats = run_chain(step, ChainState(np.array(theta0, dtype=float)), T, rng)
     m_used, disagree = stats.reshape(T, 2).T

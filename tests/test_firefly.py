@@ -357,6 +357,40 @@ def test_tight_bound_reproduces_plain_mh_with_asymmetric_proposal():
     assert np.allclose(buf_fly.draws, buf_mh.draws)
 
 
+def test_cached_augmented_joint_is_only_an_optimisation(monkeypatch):
+    # a chain that recomputes the augmented joint at every theta-move draws
+    # exactly what the cached chain draws, on a target where indicators flip
+    rng = np.random.default_rng(35)
+    n, d = 200, 3
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-X @ np.array([1.5, -1.0, 0.5]))),
+                 1.0, -1.0)
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, np.zeros(d))  # tight far from the MAP
+    prop = gaussian_random_walk(0.15)
+    resample = resample_brightness
+    flips = []
+
+    def counting(state, *args):
+        new, k = resample(state, *args)
+        flips.append(new.z is not state.z)
+        return new, k
+
+    def uncached(state, *args):
+        new, k = resample(state, *args)
+        new.log_joint_aug = None
+        return new, k
+
+    monkeypatch.setattr("bigbayes.firefly.resample_brightness", counting)
+    cached, _ = run_flymc(target, bound, prop, np.full(d, 0.8), 300, 0.1, KeyedRng(36))
+    monkeypatch.setattr("bigbayes.firefly.resample_brightness", uncached)
+    fresh, _ = run_flymc(target, bound, prop, np.full(d, 0.8), 300, 0.1, KeyedRng(36))
+    assert np.mean(flips) >= 0.1
+    assert 0.0 < cached.acceptance_rate < 1.0
+    assert np.array_equal(cached.draws, fresh.draws)
+    assert np.array_equal(cached.accept_flags, fresh.accept_flags)
+
+
 def test_eval_counter_matches_bright_plus_resampled():
     _, target, bound = gaussian_setup(n=100, delta=0.2)
     buf, info = run_flymc(target, bound, gaussian_random_walk(0.2), np.zeros(1),

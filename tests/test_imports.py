@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, and
 every name it exports is defined or imported in it. Only ``simcluster``
 sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
-``subsample`` use the parts of the MH transition, and data orders are drawn
-only by ``rng``'s lazy permutation."""
+``subsample`` use the parts of the MH transition, data orders are drawn
+only by ``rng``'s lazy permutation and tested without numpy's hashing
+calls, and every private module-level name is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -162,3 +163,77 @@ def test_only_rng_draws_data_permutations(path):
     found = [(line, owner) for line, owner in permutation_calls(path.read_text())
              if (path.name, owner) != ("mcmc.py", "gibbs_sweep")]
     assert found == [], f"{path.name} calls .permutation( outside rng.py"
+
+
+HASHING_CALLS = {"isin", "unique"}
+# index orders are sorted arrays: a membership test is a searchsorted and a
+# set of distinct values a sort, both far cheaper than numpy's hashing calls
+SORTED_ORDER_MODULES = ["rng.py", "subsample.py", "sgld.py"]
+
+
+def hashing_calls(source: str):
+    """(line, name) of every call in ``source`` to a function or method named
+    ``isin`` or ``unique``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in HASHING_CALLS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_hashing_call_checker_flags_planted_calls():
+    src = ("import numpy as np\nfrom numpy import unique\ndef f(a, b):\n"
+           "    isin = np.isin\n    return np.isin(a, b), unique(a), a.sort()\n")
+    assert hashing_calls(src) == [(5, "isin"), (5, "unique")]
+
+
+@pytest.mark.parametrize("name", SORTED_ORDER_MODULES)
+def test_index_orders_use_no_hashing_calls(name):
+    path = Path(bigbayes.__file__).parent / name
+    assert hashing_calls(path.read_text()) == [], f"{name} calls np.isin or np.unique"
+
+
+def dead_private_names(sources: dict):
+    """(module, line, name) of every private module-level name (one leading
+    underscore) in ``sources``, a dict of module name to source, that no
+    statement of any module reads outside the statement that binds it."""
+    defs, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                bound = []
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            reads.append(names)
+            defs += [(module, stmt.lineno, name, len(reads) - 1) for name in bound
+                     if name.startswith("_") and not name.startswith("__")]
+    return [(module, line, name) for module, line, name, own in defs
+            if not any(name in names for i, names in enumerate(reads) if i != own)]
+
+
+def test_dead_private_checker_flags_unread_names():
+    sources = {
+        "a.py": ("_K, _UNUSED = 1, 2\n__slots__ = ()\ndef _helper():\n    return _K\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\nclass _Used:\n    pass\n"),
+        "b.py": "from .a import _helper\ndef f(a):\n    return a._Used\n",
+    }
+    assert dead_private_names(sources) == [("a.py", 1, "_UNUSED"), ("a.py", 5, "_recursive")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert dead_private_names(sources) == [], "private names that nothing in the package reads"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,25 @@ def test_bit_exact_with_asymmetric_proposal(J, policy):
     assert 0.0 < serial.acceptance_rate < 1.0
     assert np.array_equal(buf.draws, serial.draws)
     assert np.array_equal(buf.accept_flags, serial.accept_flags)
+
+
+def test_subsample_predictor_adds_the_hastings_term():
+    # a batch of all N terms makes the estimate exact, so the prediction is
+    # the full-data acceptance probability, Hastings term included
+    xs = np.random.default_rng(18).normal(0.5, 1.0, 30)
+    target = gaussian_iid_target(xs)
+    prop = autoregressive_proposal(0.5, 0.4)
+    predict = subsample_predictor(target, batch_size=30)
+    hastings = []
+    for seed in range(20):
+        tree = SpecTree(prop, np.array([1.5]), KeyedRng(seed))
+        theta, theta_new = tree.root_theta, tree.materialize("1").theta
+        log_q = prop.log_density(theta, theta_new) - prop.log_density(theta_new, theta)
+        log_alpha = target.log_joint(theta_new) - target.log_joint(theta) + log_q
+        assert predict(tree, "", "1") == pytest.approx(math.exp(min(0.0, log_alpha)),
+                                                       rel=1e-9, abs=0.0)
+        hastings.append(log_q)
+    assert max(np.abs(hastings)) > 0.5
 
 
 def test_naive_j8_speedup_at_least_log2():

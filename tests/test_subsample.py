@@ -622,7 +622,6 @@ def test_adaptive_step_reports_data_usage():
     state, m = adaptive_mh_step(target, gaussian_random_walk(0.5), state, cfg,
                                 np.random.default_rng(1))
     assert 10 <= m <= 100
-    assert state.it == 1
 
 
 @pytest.mark.parametrize("rule", ["ttest", "hoeffding", "bernstein"])
