@@ -3,10 +3,12 @@
 Each datum carries a binary brightness indicator. Dark points contribute
 through a collapsible lower bound on their likelihood, summarized by the sum
 of their sufficient statistics (``LikelihoodBound.dark_stat_sum``), one
-fixed-size vector kept incrementally as indicators flip, so a step
-evaluates likelihood terms only for bright points and for the indicators
-being resampled. The theta marginal of the augmented chain is the exact
-posterior.
+fixed-size vector kept incrementally as indicators flip. A step evaluates
+likelihood terms only for bright points and for the resampled indicators
+that can change: the resample thins its dark members by the bound's largest
+gap from the likelihood (``LikelihoodBound.max_log_gap``), so a dark datum
+is read only when it is a candidate to turn bright. The theta marginal of
+the augmented chain is the exact posterior.
 
 That sum is the one incremental cache: a flip sets
 ``FireflyState.log_joint_aug`` to None, and the next theta-move computes
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-9
+_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
 class BoundViolationError(RuntimeError):
@@ -54,11 +57,19 @@ class LikelihoodBound:
     ``idx``), from which ``collapsed_log_product(theta, s)`` evaluates
     sum(log B_n) over that set without reading the data again. Term indices
     follow the ``FactoredTarget`` contract: an integer array or a ``range``.
+
+    ``max_log_gap(theta)`` returns a G >= max_n (log L_n - log B_n) at
+    ``theta`` without reading the data, so every brightness probability is
+    at most 1 - exp(-G). ``math.inf`` is a valid (if uninformative) answer:
+    the resample then evaluates every dark datum it draws. A G below some
+    datum's gap makes ``resample_brightness`` raise ``BoundViolationError``
+    when it evaluates that datum.
     """
 
     log_bound_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dark_stat_sum: Callable[[np.ndarray], np.ndarray]
     collapsed_log_product: Callable[[np.ndarray, np.ndarray], float]
+    max_log_gap: Callable[[np.ndarray], float]
 
 
 def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodBound:
@@ -85,7 +96,7 @@ def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodB
         quad = s2 - 2.0 * theta[0] * s1 + cnt * theta[0] ** 2
         return float(-0.5 * quad / lik_var + cnt * (const - delta))
 
-    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed)
+    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed, lambda theta: delta)
 
 
 def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
@@ -97,11 +108,16 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
     estimate), where the bound is tight. log sigma(xi) is
     ``models._log_sigmoid``, the logistic target's own log-sigmoid.
 
+    The gap g_n(z) = log sigma(z) - log B_n and its derivative vanish at the
+    reference margin, and g_n'' = 2 lam_n - sigma(z) sigma(-z) <= 2 lam_n, so
+    g_n <= lam_n (x_n . (theta - theta_ref))^2; ``max_log_gap`` returns
+    curv |theta - theta_ref|^2 with curv = max_n lam_n |x_n|^2, computed once.
+
     Unlike ``logistic_regression_target``, which copies the data, the bound
     reads the caller's ``X`` and ``y`` in place (float64 arrays are not
     copied) and stores only the N-vectors of its constants. Changing ``X``
     or ``y`` after construction changes the bound, which then need no
-    longer lie below the likelihood.
+    longer lie below the likelihood, nor its gap below ``max_log_gap``.
     """
     X, y = _check_logistic_data(X, y)
     theta_ref = np.asarray(theta_ref, dtype=float)
@@ -109,6 +125,7 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
     lam = np.where(xi > 1e-8, np.tanh(xi / 2.0) / (4.0 * np.where(xi > 0, xi, 1.0)), 0.125)
     log_sig_xi = _log_sigmoid(xi)
     c = log_sig_xi - xi / 2.0 + lam * xi**2
+    curv = float(np.max(lam * np.einsum("ij,ij->i", X, X), initial=0.0))
     n, d = X.shape
 
     def log_bound_batch(idx, theta):
@@ -130,7 +147,11 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
         quad = s[1 + d:].reshape(d, d)
         return float(const + lin @ theta - theta @ quad @ theta)
 
-    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed)
+    def max_log_gap(theta):
+        step = np.asarray(theta, dtype=float) - theta_ref
+        return curv * float(step @ step)
+
+    return LikelihoodBound(log_bound_batch, dark_stat_sum, collapsed, max_log_gap)
 
 
 @dataclass
@@ -184,19 +205,18 @@ def _brightness_probs(idx, theta, target, bound):
 
 def init_firefly(target, bound, theta0, rng: np.random.Generator,
                  init: str = "sample") -> FireflyState:
-    theta0 = np.asarray(theta0, dtype=float)
-    N = target.n_data
-    if init == "dark":
-        z = np.zeros(N, dtype=bool)
-    elif init == "sample":
-        probs = _brightness_probs(range(N), theta0, target, bound)
-        z = rng.random(N) < probs
-    else:
+    """An all-dark state at ``theta0``. ``init="sample"`` then draws every
+    indicator from its conditional with one ``resample_brightness`` at
+    rho_z = 1, which reads only the data that can turn bright."""
+    if init not in ("dark", "sample"):
         raise ValueError(f"unknown init {init!r}")
-    # the full-data sum reads the data as views; the bright set is small
-    bright = np.flatnonzero(z)
-    dark_sum = bound.dark_stat_sum(target.all_indices()) - bound.dark_stat_sum(bright)
-    return FireflyState(theta=theta0.copy(), z=z, dark_stat_sum=dark_sum, bright=bright)
+    theta0 = np.asarray(theta0, dtype=float)
+    # the full-data sum reads the data as views
+    state = FireflyState(theta=theta0.copy(), z=np.zeros(target.n_data, dtype=bool),
+                         dark_stat_sum=bound.dark_stat_sum(target.all_indices()))
+    if init == "sample":
+        state, _ = resample_brightness(state, target, bound, 1.0, rng)
+    return state
 
 
 def flymc_log_joint(state: FireflyState, target, bound) -> float:
@@ -215,37 +235,73 @@ def flymc_log_joint(state: FireflyState, target, bound) -> float:
 
 def resample_brightness(state: FireflyState, target, bound, rho_z: float,
                         rng: np.random.Generator):
-    """Redraw a random ceil(rho_z N) subset of indicators at the current theta.
+    """Redraw the indicators of a uniform ceil(rho_z N)-subset at the current theta.
 
-    Returns (state', n_likelihood_evals). The dark statistic aggregate is
-    updated incrementally; ``z`` is copied and the bright indices found
-    again only when an indicator flips. A flip drops the cached augmented
-    log joint (``log_joint_aug`` becomes None), which the next theta-move's
-    ``mh_step`` evaluates afresh with ``flymc_log_joint``.
+    The law is that of drawing a uniform k-subset, k = ceil(rho_z N), and
+    redrawing each member's z_n from Bern(p_n), but a dark member is read
+    only when it is a candidate to turn bright. With b bright points and
+    pbar = 1 - exp(-G), G = ``bound.max_log_gap(theta)``, the draws from
+    ``rng`` are, in order:
+
+    1. h ~ Hypergeometric(b, N - b, k), the subset's bright members (not
+       drawn when b = 0);
+    2. c ~ Binomial(k - h, pbar), the dark members that are candidates;
+    3. the h members, a uniform subset of ``state.bright``, and then the c
+       candidates, a uniform subset of the dark data drawn as ranks among
+       them and mapped to indices through the sorted bright set;
+    4. one uniform u per member read: a bright member stays bright when
+       u < p_n, and a candidate turns bright when u pbar < p_n.
+
+    A subset of size 0 is not drawn, and step 4 is not drawn when
+    h + c = 0. A dark member turns bright with probability
+    pbar (p_n / pbar) = p_n, as in the subset Gibbs kernel. A candidate
+    with p_n above pbar (beyond ``BOUND_SLACK`` in the log gap) raises
+    ``BoundViolationError``; a negative or NaN G fails the Binomial draw
+    with ValueError.
+
+    Returns (state', n_likelihood_evals), the evaluations being the h + c
+    members read. The dark statistic aggregate and the bright indices are
+    updated incrementally; ``z`` is copied only when an indicator flips. A
+    flip drops the cached augmented log joint (``log_joint_aug`` becomes
+    None), which the next theta-move's ``mh_step`` evaluates afresh with
+    ``flymc_log_joint``.
     """
     if not 0.0 < rho_z <= 1.0:
         raise ValueError("rho_z must lie in (0, 1]")
     N = target.n_data
     k = math.ceil(rho_z * N)
-    idx = rng.choice(N, size=k, replace=False)
-    theta = state.theta
-    new_z = rng.random(k) < _brightness_probs(idx, theta, target, bound)
-
-    z, bright = state.z, state.bright
-    changed = z[idx] != new_z
-    stat_sum = state.dark_stat_sum
-    lj = state.log_joint_aug
-    if np.any(changed):
-        ch_idx = idx[changed]
-        to_bright = new_z[changed]
-        stat_sum = (stat_sum + bound.dark_stat_sum(ch_idx[~to_bright])
-                    - bound.dark_stat_sum(ch_idx[to_bright]))
-        lj = None
-        z = z.copy()
-        z[idx] = new_z
-        bright = np.flatnonzero(z)
+    theta, z, bright = state.theta, state.z, state.bright
+    stat_sum, lj = state.dark_stat_sum, state.log_joint_aug
+    b = len(bright)
+    h = int(rng.hypergeometric(b, N - b, k)) if b else 0
+    gap = bound.max_log_gap(theta)
+    p_bar = -math.expm1(-gap)
+    c = int(rng.binomial(k - h, p_bar))
+    if h + c:
+        # Generator.choice costs microseconds even for an empty draw
+        pos = rng.choice(b, h, replace=False, shuffle=False) if h else _NO_INDEX
+        ranks = rng.choice(N - b, c, replace=False, shuffle=False) if c else _NO_INDEX
+        cands = ranks + np.searchsorted(bright - np.arange(b), ranks, side="right")
+        idx = np.concatenate([bright[pos], cands])
+        u = rng.random(h + c)
+        p = _brightness_probs(idx, theta, target, bound)
+        if c and np.max(p[h:]) > -math.expm1(-(gap + BOUND_SLACK)):
+            i = h + int(np.argmax(p[h:]))
+            raise BoundViolationError(
+                f"datum {idx[i]} has brightness probability {p[i]:.6g} above "
+                f"{p_bar:.6g}, the bound's max_log_gap {gap:.6g}")
+        u[h:] *= p_bar
+        lit = u < p
+        gone, to_bright = pos[~lit[:h]], cands[lit[h:]]
+        if gone.size or to_bright.size:
+            stat_sum = (stat_sum + bound.dark_stat_sum(bright[gone])
+                        - bound.dark_stat_sum(to_bright))
+            lj = None
+            z = z.copy()
+            z[idx] = lit
+            bright = np.sort(np.concatenate([np.delete(bright, gone), to_bright]))
     return FireflyState(theta=theta.copy(), z=z, dark_stat_sum=stat_sum,
-                        log_joint_aug=lj, bright=bright), k
+                        log_joint_aug=lj, bright=bright), h + c
 
 
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
@@ -262,8 +318,8 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
                               ChainState(state.theta, log_joint=state.log_joint_aug), rng_mh)
     state = FireflyState(theta=np.asarray(moved.theta, float), z=z, dark_stat_sum=dark,
                          log_joint_aug=moved.log_joint, bright=bright)
-    state, k = resample_brightness(state, target, bound, rho_z, rng_z)
-    return state, accepted, len(bright) + k
+    state, n_read = resample_brightness(state, target, bound, rho_z, rng_z)
+    return state, accepted, len(bright) + n_read
 
 
 def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
@@ -273,6 +329,9 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
     The MH part of step t reads the stream keyed ("step", t) as in
     ``run_mh``, so a tight bound with an all-dark state reproduces plain MH
     decisions draw for draw; the resample reads the one keyed ("z", t).
+    ``info["likelihood_evals"][t]`` counts step t's bright points (the
+    likelihood terms of its augmented joint at theta') plus the terms its
+    resample evaluated.
     """
 
     def step(state, t, gen):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +90,7 @@ def test_bound_violation_raises():
         log_bound_batch=lambda idx, th: target.log_lik_terms(idx, th) + 1.0,
         dark_stat_sum=lambda idx: np.array([float(len(np.asarray(idx)))]),
         collapsed_log_product=lambda th, s: 0.0,
+        max_log_gap=lambda th: math.inf,
     )
     with pytest.raises(BoundViolationError):
         brightness_prob(0, np.zeros(1), target, bad)
@@ -165,6 +168,44 @@ def test_dark_stat_sum_equals_summed_per_datum_rows(name, idx):
         assert bound.collapsed_log_product(theta, got) == 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 4),
+       x_scale=st.floats(0.1, 3.0), ref_scale=st.sampled_from([0.0, 0.5, 2.0]),
+       step=st.floats(0.0, 20.0))
+def test_logistic_max_log_gap_bounds_every_gap(seed, n, d, x_scale, ref_scale, step):
+    # ref_scale 0 puts every tangency at the origin, where lam = 1/8
+    rng = np.random.default_rng(seed)
+    X = x_scale * rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    theta_ref = ref_scale * rng.standard_normal(d)
+    direction = rng.standard_normal(d)
+    theta = theta_ref + step * direction / max(np.linalg.norm(direction), 1e-12)
+    bound = logistic_quadratic_bound(X, y, theta_ref)
+    idx = np.arange(n)
+    log_b = bound.log_bound_batch(idx, theta)
+    gaps = logistic_regression_target(X, y).log_lik_terms(idx, theta) - log_b
+    assert np.max(gaps) <= bound.max_log_gap(theta) + 1e-9 * (1.0 + np.max(np.abs(log_b)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(delta=st.floats(0.0, 10.0), theta=st.floats(-1e3, 1e3))
+def test_scaled_gaussian_max_log_gap_is_delta(delta, theta):
+    _, _, bound = gaussian_setup(n=5, delta=delta)
+    assert bound.max_log_gap(np.array([theta])) == delta
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta=st.floats(0.5, 5.0), understate=st.floats(0.2, 0.9), seed=st.integers(0, 2**16))
+def test_understated_gap_raises_naming_the_datum(delta, understate, seed):
+    # every candidate has p_n = 1 - exp(-delta) above the claimed bound; with
+    # about N (1 - exp(-understate delta)) >= 45 candidates, some are read
+    _, target, bound = gaussian_setup(n=500, delta=delta)
+    bad = replace(bound, max_log_gap=lambda th: understate * delta)
+    state = init_firefly(target, bad, np.zeros(1), np.random.default_rng(0), init="dark")
+    with pytest.raises(BoundViolationError, match=r"datum \d+ has brightness probability"):
+        resample_brightness(state, target, bad, 1.0, np.random.default_rng(seed))
+
+
 # -- resampling ----------------------------------------------------------------
 
 def test_tight_bound_resample_all_dark():
@@ -230,6 +271,7 @@ def test_resample_never_changes_indicators_in_place():
     bound = logistic_quadratic_bound(X, y, np.zeros(d))
     state = init_firefly(target, bound, np.full(d, 0.5), rng)
     kept = flipped = 0
+    lit = None
     for _ in range(40):
         before, z_before = state, state.z.copy()
         state, _ = resample_brightness(state, target, bound, 0.05, rng)
@@ -240,10 +282,12 @@ def test_resample_never_changes_indicators_in_place():
             kept += 1
         else:
             flipped += 1
-    assert kept and flipped and state.bright.size
-    state.z[state.bright[:1]] = False
+        if state.bright.size:
+            lit = state
+    assert kept and flipped and lit is not None
+    lit.z[lit.bright[:1]] = False
     with pytest.raises(AssertionError, match="bright index cache incoherent"):
-        check_coherence(state, target, bound)
+        check_coherence(lit, target, bound)
 
 
 def test_init_firefly_never_holds_per_datum_stat_rows():
@@ -274,6 +318,88 @@ def test_rho_z_out_of_range():
     state = init_firefly(target, bound, np.zeros(1), np.random.default_rng(0))
     with pytest.raises(ValueError):
         resample_brightness(state, target, bound, 0.0, np.random.default_rng(0))
+
+
+def _subset_gibbs_law(z, p, k):
+    """Exact law of z' when a uniform k-subset's indicators are redrawn from
+    Bern(p) and the rest kept, as a dict from z' (a tuple) to probability."""
+    subsets = list(itertools.combinations(range(len(z)), k))
+    law = {}
+    for subset in subsets:
+        for bits in itertools.product((False, True), repeat=k):
+            new = list(z)
+            prob = 1.0 / len(subsets)
+            for i, bit in zip(subset, bits):
+                new[i] = bit
+                prob *= p[i] if bit else 1.0 - p[i]
+            law[tuple(new)] = law.get(tuple(new), 0.0) + prob
+    return law
+
+
+@pytest.mark.parametrize("gap", ["finite", "infinite"])
+def test_thinned_resample_has_the_subset_gibbs_law(gap):
+    rng = np.random.default_rng(40)
+    n, rho_z = 5, 0.6
+    X = rng.standard_normal((n, 2))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    theta_ref = np.array([0.3, -0.2])
+    target = logistic_regression_target(X, y)
+    bound = logistic_quadratic_bound(X, y, theta_ref)
+    theta = theta_ref + 2.0 * X[0] / np.linalg.norm(X[0])
+    if gap == "infinite":
+        bound = replace(bound, max_log_gap=lambda th: math.inf)
+    else:
+        # candidates are thinned, and each turns bright with p_n / pbar < 1
+        assert 0.5 < -math.expm1(-bound.max_log_gap(theta)) < 0.9
+    p = [brightness_prob(i, theta, target, bound) for i in range(n)]
+    assert max(p) > 0.2
+    z = np.array([True, False, False, True, False])
+    state = FireflyState(theta, z, bound.dark_stat_sum(np.flatnonzero(~z)))
+    law = _subset_gibbs_law(z.tolist(), p, math.ceil(rho_z * n))
+    draws = 40_000
+    gen = np.random.default_rng(41)
+    counts = {}
+    for _ in range(draws):
+        new, _ = resample_brightness(state, target, bound, rho_z, gen)
+        key = tuple(new.z.tolist())
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(law)
+    for key, prob in law.items():
+        freq = counts.get(key, 0) / draws
+        assert abs(freq - prob) <= 4 * math.sqrt(prob * (1 - prob) / draws), (key, freq, prob)
+
+
+def test_resample_reads_and_allocates_little_at_a_million():
+    # k = 1e4 of N = 1e6 are resampled, but with pbar = 1 - exp(-1e-4) about
+    # one dark member is a candidate: the resample reads no k-sized index set
+    N = 1_000_000
+    xs = np.random.default_rng(42).normal(1.0, 1.0, N)
+    target = gaussian_iid_target(xs)
+    bound = scaled_gaussian_bound(xs, 1e-4)
+    read = [0]
+    lik = target.log_lik_terms
+
+    def counting(idx, th):
+        read[0] += len(idx)
+        return lik(idx, th)
+
+    target.log_lik_terms = counting
+    state = init_firefly(target, bound, np.array([1.0]), np.random.default_rng(0), init="dark")
+    unflipped = 0
+    for seed in range(8):
+        read[0] = 0
+        gen = np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            new, n_read = resample_brightness(state, target, bound, 0.01, gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read[0] == n_read < 50
+        if new.z is state.z:
+            unflipped += 1
+            assert peak < 16 * 1024, f"peak {peak} bytes"
+    assert unflipped
 
 
 # -- augmented joint -----------------------------------------------------------
@@ -391,13 +517,35 @@ def test_cached_augmented_joint_is_only_an_optimisation(monkeypatch):
     assert np.array_equal(cached.accept_flags, fresh.accept_flags)
 
 
-def test_eval_counter_matches_bright_plus_resampled():
+def test_eval_counter_matches_bright_plus_resampled(monkeypatch):
+    # a step's count is its bright points plus the likelihood terms its
+    # resample evaluated, counted here by a wrapper on the target
     _, target, bound = gaussian_setup(n=100, delta=0.2)
+    terms = [0]
+    lik = target.log_lik_terms
+
+    def counting_lik(idx, th):
+        terms[0] += len(idx)
+        return lik(idx, th)
+
+    target.log_lik_terms = counting_lik
+    resample = resample_brightness
+    expected = []
+
+    def counting_resample(state, *args):
+        before = terms[0]
+        new, n_read = resample(state, *args)
+        expected.append(state.bright_count + terms[0] - before)
+        return new, n_read
+
+    monkeypatch.setattr("bigbayes.firefly.resample_brightness", counting_resample)
     buf, info = run_flymc(target, bound, gaussian_random_walk(0.2), np.zeros(1),
                           400, 0.1, KeyedRng(10))
-    k = math.ceil(0.1 * 100)
-    mean_bright = info["bright_counts"].mean()
-    assert info["mean_evals_per_step"] == pytest.approx(mean_bright + k, abs=1.5)
+    # the first resample is the init's, outside the chain's steps
+    assert len(expected) == 401
+    assert np.array_equal(info["likelihood_evals"], expected[1:])
+    assert info["mean_evals_per_step"] == pytest.approx(np.mean(expected[1:]))
+    assert info["mean_evals_per_step"] < info["bright_counts"].mean() + math.ceil(0.1 * 100)
 
 
 def test_bright_count_scales_with_delta():

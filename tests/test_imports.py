@@ -3,7 +3,8 @@ every name it exports is defined or imported in it. Only ``simcluster``
 sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 ``subsample`` use the parts of the MH transition, data orders are drawn
 only by ``rng``'s lazy permutation and tested without numpy's hashing
-calls, and every private module-level name is read somewhere."""
+calls, FlyMC draws nothing per datum, and every private module-level name
+is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -194,6 +195,44 @@ def test_hashing_call_checker_flags_planted_calls():
 def test_index_orders_use_no_hashing_calls(name):
     path = Path(bigbayes.__file__).parent / name
     assert hashing_calls(path.read_text()) == [], f"{name} calls np.isin or np.unique"
+
+
+# the position of the size argument of each numpy Generator draw method
+DRAW_SIZE_ARG = {"random": 0, "standard_normal": 0, "bytes": 0, "permutation": 0,
+                 "exponential": 1, "choice": 1, "integers": 2, "uniform": 2, "normal": 2,
+                 "binomial": 2, "hypergeometric": 3}
+DATA_SIZES = {"N", "n_data"}
+
+
+def data_sized_draws(source: str):
+    """(line, method) of every Generator draw in ``source`` whose size
+    argument, passed by position or as ``size=``, mentions ``N`` or ``n_data``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DRAW_SIZE_ARG):
+            continue
+        pos = DRAW_SIZE_ARG[node.func.attr]
+        sizes = node.args[pos:pos + 1] + [kw.value for kw in node.keywords if kw.arg == "size"]
+        names = {getattr(n, "id", getattr(n, "attr", None)) for arg in sizes for n in ast.walk(arg)}
+        if names & DATA_SIZES:
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_data_sized_draw_checker_flags_planted_calls():
+    src = ("def f(rng, target, N, k):\n    n = target.n_data\n"
+           "    a = rng.random(N)\n    b = rng.choice(N, k, replace=False)\n"
+           "    c = rng.integers(0, 2, size=target.n_data)\n    d = rng.binomial(k, 0.5)\n"
+           "    e = rng.choice(k, size=N - 1)\n    return rng.random(k), np.zeros(N)\n")
+    assert data_sized_draws(src) == [(3, "random"), (5, "integers"), (7, "choice")]
+
+
+def test_firefly_draws_nothing_per_datum():
+    # a resample draws O(bright + candidates) variates; an N-sized draw
+    # would make every step O(N) again
+    path = Path(bigbayes.__file__).parent / "firefly.py"
+    assert data_sized_draws(path.read_text()) == [], "firefly.py draws N variates"
 
 
 def dead_private_names(sources: dict):
