@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mcmc import ChainState, ProposalDist, mh_step, run_chain
-from .models import FactoredTarget, _check_logistic_data, _log_sigmoid, _rows, _take
+from .models import _check_logistic_data, _log_sigmoid, _rows, _take
 from .rng import KeyedRng
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "FireflyState",
     "scaled_gaussian_bound",
     "logistic_quadratic_bound",
-    "brightness_prob",
     "resample_brightness",
     "flymc_log_joint",
     "flymc_step",
@@ -190,13 +189,8 @@ def _check_bound(diff):
         raise BoundViolationError(f"lower bound exceeds likelihood by {worst:.3e}")
 
 
-def brightness_prob(n: int, theta, target: FactoredTarget, bound: LikelihoodBound) -> float:
-    """P(z_n = 1 | theta) = (L_n - B_n)/L_n, clipped to [0, 1]."""
-    return float(_brightness_probs(np.array([n]), np.asarray(theta, float), target, bound)[0])
-
-
 def _brightness_probs(idx, theta, target, bound):
-    """P(z = 1 | theta) at the terms ``idx``."""
+    """P(z_n = 1 | theta) = (L_n - B_n) / L_n at the terms ``idx``."""
     diff = bound.log_bound_batch(idx, theta) - target.log_lik_terms(idx, theta)
     _check_bound(diff)
     # -expm1 of a value <= 0 lies in [0, 1), so no clip is needed; NaN stays NaN
@@ -305,20 +299,20 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
 
 
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
-               rho_z: float, rng_mh: np.random.Generator,
-               rng_z: np.random.Generator):
+               rho_z: float, rng: np.random.Generator):
     """One ``mcmc.mh_step`` on theta under the augmented joint at fixed
-    brightness (drawing from ``rng_mh``), then a brightness resample from
-    ``rng_z``; returns (state', accepted, n_likelihood_evals). The caller's
+    brightness, then a brightness resample, both drawing from ``rng``: the
+    MH draws (``mcmc.mh_propose``) first, the resample from the rest of the
+    stream. Returns (state', accepted, n_likelihood_evals). The caller's
     ``state`` is not modified."""
     z, dark, bright = state.z, state.dark_stat_sum, state.bright
     augmented = SimpleNamespace(log_joint=lambda th: flymc_log_joint(
         FireflyState(th, z, dark, bright=bright), target, bound))
     moved, accepted = mh_step(augmented, proposal,
-                              ChainState(state.theta, log_joint=state.log_joint_aug), rng_mh)
+                              ChainState(state.theta, log_joint=state.log_joint_aug), rng)
     state = FireflyState(theta=np.asarray(moved.theta, float), z=z, dark_stat_sum=dark,
                          log_joint_aug=moved.log_joint, bright=bright)
-    state, n_read = resample_brightness(state, target, bound, rho_z, rng_z)
+    state, n_read = resample_brightness(state, target, bound, rho_z, rng)
     return state, accepted, len(bright) + n_read
 
 
@@ -326,17 +320,18 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
               rng: KeyedRng, init: str = "sample"):
     """Drive the chain for T steps; returns (SampleBuffer, info).
 
-    The MH part of step t reads the stream keyed ("step", t) as in
-    ``run_mh``, so a tight bound with an all-dark state reproduces plain MH
-    decisions draw for draw; the resample reads the one keyed ("z", t).
+    Step t is ``flymc_step`` on the one stream keyed ("step", t). Its MH
+    part reads that stream first, as ``run_mh`` does, so a tight bound with
+    an all-dark state reproduces plain MH decisions draw for draw; the
+    resample reads the rest of the stream. The initial state reads the
+    stream keyed ("init",).
     ``info["likelihood_evals"][t]`` counts step t's bright points (the
     likelihood terms of its augmented joint at theta') plus the terms its
     resample evaluated.
     """
 
     def step(state, t, gen):
-        state, accepted, n_ev = flymc_step(state, target, bound, proposal, rho_z,
-                                           gen, rng.derive("z", t))
+        state, accepted, n_ev = flymc_step(state, target, bound, proposal, rho_z, gen)
         return state, accepted, state.bright_count, n_ev
 
     state = init_firefly(target, bound, theta0, rng.derive("init"), init=init)

@@ -119,9 +119,9 @@ def mh_propose(proposal: ProposalDist, theta, gen: np.random.Generator):
     that log u exists. The proposal consumes a fixed number of draws
     whatever theta is, so step t reads the same pair from the stream keyed
     ("step", t) serially (``run_chain``), speculatively (``prefetch``), on an
-    augmented state (``firefly``) or before a subsampled test
-    (``subsample``, whose lazily drawn permutation and pilot draws follow
-    the pair).
+    augmented state (``firefly``, whose brightness resample follows the
+    pair on the same stream) or before a subsampled test (``subsample``,
+    whose lazily drawn permutation and pilot draws follow the pair).
     """
     theta_new = proposal.sample(theta, gen)
     u = gen.uniform()

@@ -8,7 +8,11 @@ MH and the simulated cluster deterministic.
 Stream version 2: the stream of ``(seed, key)`` is a Philox4x64 generator
 keyed by the first 128 bits of the sha256 fold of the seed and the key parts,
 with counter 0, i.e. ``Generator(Philox(key=_fold(seed, key)))``. Each
-``derive`` returns a fresh generator with its own bit generator.
+``derive`` returns a fresh generator with its own bit generator. A
+``KeyedRng`` hashes its seed and key prefix once; ``derive`` hashes only its
+own key parts, into a copy of that sha256 state, and hands Philox the two
+key words and a shared read-only zero counter, so no call converts counter 0
+from a Python int.
 
 ``_LazyPermutation`` draws a uniform random order of ``range(n)`` from one
 such generator, in doubling blocks, only as far as it is read. Each block
@@ -28,7 +32,10 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = ["KeyedRng"]
 
 _INT128_MIN, _INT128_END = -(2 ** 127), 2 ** 127
-_WORD = 2 ** 64 - 1
+# Philox's counter for every derived stream; read-only, so no stream can move it
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+_INT_RECORD = (17).to_bytes(4, "little") + b"i"  # an int part's length and tag
 # A _LazyPermutation draws its next block lazily only while more than
 # _EAGER_FACTOR * (block + 1024) indices are unread; below that, one shuffle
 # of everything unread is cheaper than rejecting the indices already drawn.
@@ -46,23 +53,43 @@ def _int128(value, what: str, kinds: str = "an int") -> int:
     return v
 
 
-def _key_bytes(part) -> bytes:
+def _key_record(part) -> bytes:
+    """A key part as the fold hashes it: a type tag and the part's bytes (an
+    int as 16 signed little-endian bytes), after their 4-byte length."""
+    if type(part) is int and _INT128_MIN <= part < _INT128_END:  # the cheap case first
+        return _INT_RECORD + part.to_bytes(16, "little", signed=True)
     if isinstance(part, str):
-        return b"s" + part.encode("utf-8")
-    if isinstance(part, bytes):
-        return b"b" + part
-    v = _int128(part, "rng key part", "an int, str or bytes")
-    return b"i" + v.to_bytes(16, "little", signed=True)
+        b = b"s" + part.encode("utf-8")
+    elif isinstance(part, bytes):
+        b = b"b" + part
+    else:  # an np.integer, or a bad part that _int128 names
+        return _key_record(_int128(part, "rng key part", "an int, str or bytes"))
+    return len(b).to_bytes(4, "little") + b
 
 
-def _fold(seed: int, parts: tuple) -> int:
-    h = hashlib.sha256()
-    h.update(int(seed).to_bytes(16, "little", signed=True))
+def _seeded(seed: int):
+    """A sha256 that has hashed the seed: where every fold starts."""
+    return hashlib.sha256(int(seed).to_bytes(16, "little", signed=True))
+
+
+def _absorb(h, parts: tuple):
+    """Hash the records of the key parts into ``h``; returns ``h``."""
     for p in parts:
-        b = _key_bytes(p)
-        h.update(len(b).to_bytes(4, "little"))
-        h.update(b)
-    return int.from_bytes(h.digest()[:16], "little")
+        h.update(_key_record(p))
+    return h
+
+
+def _fold(seed: int, parts: tuple, prefix=None) -> int:
+    """The 128-bit key of the stream ``(seed, parts)``: the first 16 bytes,
+    read little-endian, of the sha256 of the seed's 16 bytes and then each
+    part's ``_key_record``.
+
+    ``prefix``, if given, is a sha256 that has already hashed ``seed`` and
+    the leading key parts (``KeyedRng`` keeps one for its seed and base);
+    ``parts`` are then only the parts after those, hashed into a copy of it.
+    """
+    h = _seeded(seed) if prefix is None else prefix.copy()
+    return int.from_bytes(_absorb(h, parts).digest()[:16], "little")
 
 
 class _FoldedKey(ISeedSequence):
@@ -78,10 +105,11 @@ class _FoldedKey(ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        if n_words != 2 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(f"a folded rng key gives only generate_state(2, uint64), "
                              f"asked for generate_state({n_words!r}, {dtype!r})")
-        return np.array([self.key & _WORD, self.key >> 64], dtype=np.uint64)
+        # the low word first, as Philox(key=k) splits k
+        return np.frombuffer(self.key.to_bytes(16, "little"), dtype="<u8")
 
 
 class KeyedRng:
@@ -95,22 +123,32 @@ class KeyedRng:
     generators share a bit generator.
 
     The seed must be an int or ``np.integer`` in the signed 128-bit range;
-    key parts must be such ints, ``str`` or ``bytes``. Bools are rejected.
+    key parts must be such ints, ``str`` or ``bytes``. Bools are rejected. A
+    bad ``child`` prefix fails when the child is made, not at its first
+    derive. The seed and base are read-only: the sha256 state that every
+    ``derive`` copies is made from them once, at construction.
     """
 
     def __init__(self, seed: int, _base: tuple = ()):
-        self.seed = _int128(seed, "KeyedRng seed")
-        self._base = tuple(_base)
+        seed = _int128(seed, "KeyedRng seed")
+        _base = tuple(_base)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_base", _base)
+        object.__setattr__(self, "_prefix", _absorb(_seeded(seed), _base))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KeyedRng is read-only: cannot set {name!r}")
+
+    def __reduce__(self):
+        return KeyedRng, (self.seed, self._base)
 
     def child(self, *key_parts) -> "KeyedRng":
         """Namespace: a KeyedRng whose keys are all prefixed by ``key_parts``."""
-        for p in key_parts:
-            _key_bytes(p)  # a bad part fails here, not at the first derive
         return KeyedRng(self.seed, self._base + key_parts)
 
     def derive(self, *key_parts) -> np.random.Generator:
-        key = _FoldedKey(_fold(self.seed, self._base + key_parts))
-        return np.random.Generator(np.random.Philox(key))
+        key = _FoldedKey(_fold(self.seed, key_parts, self._prefix))
+        return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
     def generator(self) -> np.random.Generator:
         """Single sequential stream for this key prefix."""

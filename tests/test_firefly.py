@@ -13,7 +13,7 @@ from bigbayes.diagnostics import mcmc_se
 from bigbayes.firefly import (
     BoundViolationError,
     FireflyState,
-    brightness_prob,
+    _brightness_probs,
     check_coherence,
     flymc_log_joint,
     flymc_step,
@@ -44,8 +44,7 @@ def gaussian_setup(n=40, delta=0.1, seed=0, lik_var=1.0, prior_var=10.0):
 
 def test_tight_bound_gives_probability_zero():
     _, target, bound = gaussian_setup(delta=0.0)
-    for n in (0, 3, 7):
-        assert brightness_prob(n, np.array([0.4]), target, bound) == 0.0
+    assert np.all(_brightness_probs(np.array([0, 3, 7]), np.array([0.4]), target, bound) == 0.0)
 
 
 def test_scaled_bound_constant_probability():
@@ -53,8 +52,7 @@ def test_scaled_bound_constant_probability():
     _, target, bound = gaussian_setup(delta=delta)
     expected = 1.0 - math.exp(-delta)
     for theta in (np.array([-1.0]), np.array([0.7])):
-        for n in (0, 5):
-            assert brightness_prob(n, theta, target, bound) == pytest.approx(expected)
+        assert _brightness_probs(np.array([0, 5]), theta, target, bound) == pytest.approx(expected)
 
 
 def test_logistic_bound_tight_at_reference():
@@ -64,7 +62,7 @@ def test_logistic_bound_tight_at_reference():
     theta_map = rng.standard_normal(3) * 0.5
     target = logistic_regression_target(X, y)
     bound = logistic_quadratic_bound(X, y, theta_map)
-    probs = [brightness_prob(n, theta_map, target, bound) for n in range(30)]
+    probs = _brightness_probs(np.arange(30), theta_map, target, bound)
     assert np.max(probs) < 1e-10
 
 
@@ -93,7 +91,7 @@ def test_bound_violation_raises():
         max_log_gap=lambda th: math.inf,
     )
     with pytest.raises(BoundViolationError):
-        brightness_prob(0, np.zeros(1), target, bad)
+        _brightness_probs(np.array([0]), np.zeros(1), target, bad)
 
 
 def test_collapsed_product_matches_direct_sum():
@@ -351,7 +349,7 @@ def test_thinned_resample_has_the_subset_gibbs_law(gap):
     else:
         # candidates are thinned, and each turns bright with p_n / pbar < 1
         assert 0.5 < -math.expm1(-bound.max_log_gap(theta)) < 0.9
-    p = [brightness_prob(i, theta, target, bound) for i in range(n)]
+    p = _brightness_probs(np.arange(n), theta, target, bound)
     assert max(p) > 0.2
     z = np.array([True, False, False, True, False])
     state = FireflyState(theta, z, bound.dark_stat_sum(np.flatnonzero(~z)))
@@ -585,12 +583,32 @@ def test_coherence_after_random_interleaving():
     key = KeyedRng(15)
     for t in range(60):
         if rng.random() < 0.5:
-            state, _, _ = flymc_step(state, target, bound, prop, 0.15,
-                                     key.derive("a", t), key.derive("b", t))
+            state, _, _ = flymc_step(state, target, bound, prop, 0.15, key.derive("a", t))
         else:
             state, _ = resample_brightness(state, target, bound,
                                            float(rng.uniform(0.05, 1.0)), rng)
         assert check_coherence(state, target, bound)
+
+
+def test_run_flymc_steps_are_flymc_step_on_the_step_streams():
+    _, target, bound = gaussian_setup(n=80, delta=0.25)
+    prop = gaussian_random_walk(0.3)
+    key = KeyedRng(17)
+    T = 40
+    buf, info = run_flymc(target, bound, prop, np.zeros(1), T, 0.2, key)
+    state = init_firefly(target, bound, np.zeros(1), key.derive("init"))
+    flipped = False
+    for t in range(T):
+        before = state.z
+        state, accepted, n_ev = flymc_step(state, target, bound, prop, 0.2,
+                                           key.derive("step", t))
+        flipped |= state.z is not before
+        assert np.array_equal(state.theta, buf.draws[t])
+        assert accepted == buf.accept_flags[t]
+        assert n_ev == info["likelihood_evals"][t]
+        assert state.bright_count == info["bright_counts"][t]
+    assert flipped and 0.0 < buf.acceptance_rate < 1.0
+    assert np.array_equal(state.z, info["final_state"].z)
 
 
 def test_infinite_proposal_density_rejects_as_in_plain_mh():

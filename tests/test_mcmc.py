@@ -431,3 +431,32 @@ def test_zero_steps_return_no_draws_without_warnings(name):
     for key in ("steps_per_superstep", "mean_evals_per_step"):
         if key in info:
             assert np.isnan(info[key])
+
+
+# -- keyed streams per step -------------------------------------------------------
+
+_CHAIN_RUNS = {
+    "run_mh": lambda T, rng: run_mh(gaussian_iid_target(_XS), _PROP, np.zeros(1), T, rng),
+    "run_adaptive_mh": lambda T, rng: run_adaptive_mh(
+        gaussian_iid_target(_XS), _PROP, np.zeros(1), T,
+        StopRuleConfig(rule="ttest", epsilon=0.05), rng),
+    "run_flymc": lambda T, rng: run_flymc(gaussian_iid_target(_XS),
+                                          scaled_gaussian_bound(_XS, 0.1), _PROP,
+                                          np.zeros(1), T, 0.1, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_RUNS))
+def test_run_chain_drivers_derive_one_stream_per_step(name, monkeypatch):
+    keys = []
+    derive = KeyedRng.derive
+
+    def counting(self, *key):
+        keys.append(key)
+        return derive(self, *key)
+
+    monkeypatch.setattr(KeyedRng, "derive", counting)
+    T = 30
+    _CHAIN_RUNS[name](T, KeyedRng(2))
+    init = [("init",)] if name == "run_flymc" else []
+    assert keys == init + [("step", t) for t in range(T)]

@@ -1,7 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bigbayes.rng import KeyedRng, _FoldedKey, _fold
+from bigbayes.rng import _ZERO_COUNTER, KeyedRng, _FoldedKey, _fold
 
 
 def test_same_key_same_stream():
@@ -123,6 +127,57 @@ def test_stream_version_marker():
     assert _fold(0, ("step", 0)) == 0xFE23A6A8C19C8F402D3CB4F8AA875795
     assert KeyedRng(0).derive("step", 0).random(3).tolist() == [
         0.46173068809396045, 0.9892051054187956, 0.45187399769381764]
+
+
+_INT128 = st.integers(-(2**127), 2**127 - 1)
+_KEY = st.lists(st.one_of(_INT128, st.integers(-(2**63), 2**63 - 1).map(np.int64),
+                          st.text(max_size=6), st.binary(max_size=6)),
+                max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_INT128, prefixes=st.lists(_KEY, max_size=3), key=_KEY)
+def test_derive_is_the_fold_for_any_seed_key_and_child_chain(seed, prefixes, key):
+    # the sha256 prefix a KeyedRng keeps changes no stream: numpy int parts,
+    # empty parts and keys, and prefixes built by nested child calls included
+    rng, base = KeyedRng(seed), ()
+    for prefix in prefixes:
+        rng, base = rng.child(*prefix), base + prefix
+    want = np.random.Generator(np.random.Philox(key=_fold(seed, base + key)))
+    got = rng.derive(*key)
+    for part in ("key", "counter"):
+        assert np.array_equal(got.bit_generator.state["state"][part],
+                              want.bit_generator.state["state"][part])
+    assert np.array_equal(got.integers(0, 2**63, 6), want.integers(0, 2**63, 6))
+
+
+def test_shared_zero_counter_is_read_only_and_stays_zero():
+    assert not _ZERO_COUNTER.flags.writeable
+    rng = KeyedRng(3)
+    for t in range(300):
+        rng.derive("step", t).random(t % 7 + 1)
+    assert _ZERO_COUNTER.dtype == np.uint64
+    assert np.array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        _ZERO_COUNTER[0] = 1
+
+
+def test_seed_and_base_are_read_only():
+    rng = KeyedRng(5).child("worker", 1)
+    before = rng.derive("x").random(3)
+    with pytest.raises(AttributeError, match="'seed'"):
+        rng.seed = 6
+    with pytest.raises(AttributeError, match="'_base'"):
+        rng._base = ()
+    assert rng.seed == 5 and rng._base == ("worker", 1)
+    assert np.array_equal(rng.derive("x").random(3), before)
+
+
+def test_keyed_rng_pickles_to_the_same_streams():
+    rng = KeyedRng(-8).child("cluster", b"")
+    again = pickle.loads(pickle.dumps(rng))
+    assert (again.seed, again._base) == (rng.seed, rng._base)
+    assert np.array_equal(again.derive("x", 2).random(4), rng.derive("x", 2).random(4))
 
 
 # -- live generators ----------------------------------------------------------
