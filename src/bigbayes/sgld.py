@@ -1,4 +1,4 @@
-"""Stochastic gradient MAP ascent and stochastic gradient Langevin dynamics.
+"""Stochastic gradient Langevin dynamics.
 
 Minibatches are consecutive slices of a fresh per-epoch permutation, so a
 full epoch visits every datum exactly once. The permutation is drawn only as
@@ -21,10 +21,8 @@ __all__ = [
     "StepSchedule",
     "MinibatchPlan",
     "stochastic_grad",
-    "sgd_step",
     "sgld_step",
     "run_sgld",
-    "run_sgd",
 ]
 
 
@@ -112,12 +110,6 @@ def stochastic_grad(target: FactoredTarget, theta, batch_indices) -> np.ndarray:
     return g
 
 
-def sgd_step(theta, grad, eps_t: float) -> np.ndarray:
-    if eps_t <= 0:
-        raise ValueError("step size must be positive")
-    return np.asarray(theta, float) + 0.5 * eps_t * np.asarray(grad, float)
-
-
 def sgld_step(theta, target, plan: MinibatchPlan, schedule: StepSchedule, t: int,
               rng: np.random.Generator) -> np.ndarray:
     """theta + (eps_t/2) * stochastic gradient + N(0, eps_t I); no MH test."""
@@ -126,7 +118,7 @@ def sgld_step(theta, target, plan: MinibatchPlan, schedule: StepSchedule, t: int
     eps = schedule(t)
     g = stochastic_grad(target, theta, plan.indices(t))
     noise = math.sqrt(eps) * rng.standard_normal(np.shape(theta))
-    return sgd_step(theta, g, eps) + noise
+    return np.asarray(theta, float) + 0.5 * eps * g + noise
 
 
 def run_sgld(target, theta0, T: int, plan: MinibatchPlan, schedule: StepSchedule,
@@ -139,12 +131,3 @@ def run_sgld(target, theta0, T: int, plan: MinibatchPlan, schedule: StepSchedule
         out[t] = theta
     return out
 
-
-def run_sgd(target, theta0, T: int, plan: MinibatchPlan, schedule: StepSchedule) -> np.ndarray:
-    theta = np.asarray(theta0, dtype=float).copy()
-    out = np.empty((T, theta.size))
-    for t in range(T):
-        theta = sgd_step(theta, stochastic_grad(target, theta, plan.indices(t)),
-                         schedule(t))
-        out[t] = theta
-    return out

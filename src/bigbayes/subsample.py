@@ -14,11 +14,20 @@ accumulator's read count is its position in the order, so a step does
 O(read) index work. Where N <= 4 (batch + 1024) the first read draws the
 whole ``permutation(N)``.
 
+The t-test's statistic is t = (mean - psi) / sigma, the distance of the
+running mean from the threshold in standard errors (sampling without
+replacement). The rule stops when rho = ``student_t_sf(|t|, m - 1)``, the
+probability under the normal model that the subsampled decision is the
+wrong one, is at most epsilon. It decides on a cached bracket of |t| around
+the crossing rho = epsilon, so a batch costs O(1) Python operations beyond
+the kernel call; rho is computed only for a |t| inside that bracket.
+
 Each batch is gathered once: ``llr_terms`` evaluates the terms at theta'
 and theta in one call of the target's batch kernel, on the stacked (2, d)
 parameters.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -38,13 +47,19 @@ __all__ = [
     "llr_update",
     "ttest_should_stop",
     "concentration_should_stop",
-    "adaptive_mh_step",
     "run_adaptive_mh",
     "pilot_c_bound",
 ]
 
 PILOT_SIZE = 1000
 PILOT_SAFETY = 1.5
+# Relative margin in rho at a cached t-test bracket's ends. In a scan of df
+# from 1 to 1e6, ``student_t_sf`` never rose by more than 4e-13 of its value
+# as |t| grew (the largest rise was at its continued fraction's branch
+# switch), so outside a bracket with this margin every decision equals
+# ``rho <= epsilon``.
+_SF_MARGIN = 1e-9
+_BRACKET_EVALS = 30
 
 
 @dataclass
@@ -110,7 +125,13 @@ def llr_terms(target: FactoredTarget, idx, theta, theta_new) -> np.ndarray:
     """Log-likelihood ratios l_n(theta') - l_n(theta) at the term indices
     ``idx``, from one kernel call on the stacked (2, d) parameters, so the
     batch is gathered once."""
-    pair = np.stack([np.asarray(theta_new, float), np.asarray(theta, float)])
+    try:
+        pair = np.array((theta_new, theta), dtype=float)
+    except ValueError:
+        if np.shape(theta_new) != np.shape(theta):
+            raise ValueError(f"theta' and theta must have one shape, got "
+                             f"{np.shape(theta_new)} and {np.shape(theta)}") from None
+        raise
     terms = target.log_lik_terms(idx, pair)
     want = (2, len(idx))
     if np.shape(terms) != want:
@@ -135,29 +156,85 @@ def llr_update(acc: LLRAccumulator, target: FactoredTarget, theta, theta_new,
     idx = acc.order.read(acc.m, acc.m + k)
     ell = llr_terms(target, idx, theta, theta_new)
     m_new = acc.m + len(idx)
-    mean = (acc.m * acc.mean + float(np.sum(ell))) / m_new
+    mean = (acc.m * acc.mean + float(ell.sum())) / m_new
     mean_sq = (acc.m * acc.mean_sq + float(ell @ ell)) / m_new
     return LLRAccumulator(m=m_new, mean=mean, mean_sq=mean_sq, order=acc.order)
 
 
-def ttest_should_stop(acc: LLRAccumulator, psi: float, N: int, epsilon: float):
-    """t-statistic stopping rule; returns (stop, rho).
+@functools.lru_cache(maxsize=256)
+def _t_bracket(df: int, epsilon: float):
+    """(lo, hi): ``student_t_sf(a, df)`` exceeds epsilon (1 + margin) at a
+    lo above 0 and is at most epsilon (1 - margin) at hi, so
+    ``rho <= epsilon`` is false for |t| < lo and true for |t| >= hi.
 
-    rho is the probability the subsampled decision disagrees with the
-    full-data decision under the normal model. Zero spread means the
-    estimate is exact: stop immediately unless it sits exactly on the
-    threshold.
+    Newton steps on log rho against log |t| aim alternately just above and
+    just below epsilon, until both ends lie within 4 margins of it. Each
+    evaluation only narrows a valid bracket, starting from [0, inf), so a
+    search that runs out of steps returns a wider bracket, never a wrong one.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0,1), got {epsilon!r}")
+    above, below = epsilon * (1.0 + _SF_MARGIN), epsilon * (1.0 - _SF_MARGIN)
+    lo, hi, sf_lo, sf_hi = 0.0, math.inf, 0.5, 0.0
+    log_pdf0 = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    # start where the normal tail bound exp(-a^2 / 2) / 2 equals epsilon
+    a = math.sqrt(-2.0 * math.log(2.0 * epsilon)) if epsilon < 0.5 else 0.0
+    for _ in range(_BRACKET_EVALS):
+        sf = student_t_sf(a, df)
+        if sf > above:
+            lo, sf_lo = a, sf
+        elif sf <= below:
+            hi, sf_hi = a, sf
+        if hi <= lo or (sf_lo <= epsilon * (1.0 + 4.0 * _SF_MARGIN)
+                        and sf_hi >= epsilon * (1.0 - 4.0 * _SF_MARGIN)):
+            break
+        aim = epsilon * (1.0 - 2.0 * _SF_MARGIN if sf > epsilon else 1.0 + 2.0 * _SF_MARGIN)
+        # d log rho / d log a = -a pdf(a) / rho
+        slope = 0.0
+        if sf > 0.0:
+            slope = a * math.exp(log_pdf0 - 0.5 * (df + 1) * math.log1p(a * a / df)) / sf
+        if slope > 0.0:
+            a *= math.exp(max(-30.0, min(30.0, math.log(sf / aim) / slope)))
+        if slope <= 0.0 or not lo < a < hi:  # no usable step: split the bracket
+            if hi == math.inf:
+                a = 4.0 * lo if lo > 0.0 else 1.0
+            else:
+                a = hi / 4.0 if lo == 0.0 else math.sqrt(lo) * math.sqrt(hi)
+    return lo, hi
+
+
+def ttest_should_stop(acc: LLRAccumulator, psi: float, N: int, epsilon: float):
+    """t-statistic stopping rule; returns (stop, t).
+
+    t = (mean - psi) / sigma, where sigma is the standard error of the mean
+    of m terms drawn without replacement from N. The rule stops when
+    rho = ``student_t_sf(|t|, m - 1)``, the probability under the normal
+    model that the subsampled decision disagrees with the full-data one, is
+    at most epsilon, or when the data are exhausted. Zero spread means the
+    estimate is exact: t is +-inf (rho = 0, stop) unless the mean sits
+    exactly on the threshold, where t = 0 (rho = 1/2).
+
+    The decision compares |t| with a bracket cached per (m - 1, epsilon)
+    around the crossing rho = epsilon; only a |t| inside it computes rho.
+    Every decision equals ``rho <= epsilon``.
     """
     if acc.m < 2:
         raise ValueError("t-test needs at least two terms")
     s = acc.std()
     sigma = s / math.sqrt(acc.m) * math.sqrt((N - acc.m) / (N - 1))
     if sigma == 0.0:
-        rho = 0.5 if acc.mean == psi else 0.0
+        t = 0.0 if acc.mean == psi else math.copysign(math.inf, acc.mean - psi)
     else:
         t = (acc.mean - psi) / sigma
-        rho = student_t_sf(abs(t), acc.m - 1)
-    return rho <= epsilon or acc.m >= N, rho
+    if acc.m >= N:
+        return True, t
+    lo, hi = _t_bracket(acc.m - 1, epsilon)
+    a = abs(t)
+    if a < lo:
+        return False, t
+    if a >= hi:
+        return True, t
+    return student_t_sf(a, acc.m - 1) <= epsilon, t
 
 
 def _delta(cfg: StopRuleConfig, m: int, k: int) -> float:
@@ -249,19 +326,6 @@ def _subsampled_decision(target, proposal, theta, cfg, gen):
     psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
     accept, m_used = _run_stopping_rule(target, theta, theta_new, psi, cfg, gen)
     return theta_new, psi, accept, m_used
-
-
-def adaptive_mh_step(target: FactoredTarget, proposal: ProposalDist,
-                     state: ChainState, cfg: StopRuleConfig,
-                     rng: np.random.Generator):
-    """One approximate MH step; returns (state', data_used).
-
-    A step is reproducible from its generator alone.
-    """
-    _check_has_data(target)
-    theta_new, _, accept, m_used = _subsampled_decision(target, proposal, state.theta, cfg, rng)
-    new_theta = theta_new if accept else state.theta
-    return ChainState(np.asarray(new_theta, float)), m_used
 
 
 def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,

@@ -11,19 +11,14 @@ from scipy import stats
 from bigbayes import rng as rng_module
 
 from bigbayes.models import (
-    GaussianModelSpec,
     gaussian_iid_posterior,
     gaussian_iid_target,
-    gaussian_mean_target,
-    gaussian_posterior,
 )
 from bigbayes.rng import KeyedRng
 from bigbayes.sgld import (
     MinibatchPlan,
     StepSchedule,
-    run_sgd,
     run_sgld,
-    sgd_step,
     sgld_step,
     stochastic_grad,
 )
@@ -230,36 +225,20 @@ def test_empty_batch_rejected():
 
 # -- steps ---------------------------------------------------------------------
 
-def test_sgd_zero_gradient_fixed_point():
-    th = np.array([1.0, -2.0])
-    assert np.array_equal(sgd_step(th, np.zeros(2), 0.1), th)
-
-
-def test_sgd_quadratic_contraction():
-    # log joint -theta^2/2: theta' = theta + (eps/2)(-theta) = 0.75 theta at eps=0.5
-    target = gaussian_iid_target(np.array([]), prior_var=1.0)
-    th = np.array([2.0])
-    for _ in range(60):
-        new = sgd_step(th, target.grad_log_joint(th), 0.5)
-        assert new[0] == pytest.approx(0.75 * th[0])
+def test_sgld_step_is_a_half_gradient_step_plus_gaussian_noise():
+    # theta + (eps_t / 2) * stochastic gradient + sqrt(eps_t) z, bit for bit,
+    # with z the generator's next standard normals
+    xs, target = small_target(n=16)
+    plan = MinibatchPlan(n_data=16, batch_size=4, rng=KeyedRng(9).child("mb"))
+    sched = StepSchedule(alpha=0.3, beta=1.0, gamma=1.0)
+    th = np.array([0.4])
+    for t in range(6):
+        eps = sched(t)
+        g = stochastic_grad(target, th, plan.indices(t))
+        z = np.random.default_rng(t).standard_normal(1)
+        new = sgld_step(th, target, plan, sched, t, np.random.default_rng(t))
+        assert np.array_equal(new, th + 0.5 * eps * g + math.sqrt(eps) * z)
         th = new
-    assert abs(th[0]) < 1e-7
-
-
-def test_sgd_converges_to_posterior_mode():
-    # full-batch gradient ascent on the shard-model posterior is deterministic
-    rng = np.random.default_rng(5)
-    spec = GaussianModelSpec(
-        prior_cov=np.eye(2),
-        shard_covs=tuple(np.eye(2) for _ in range(4)),
-        shard_obs=tuple(rng.standard_normal(2) for _ in range(4)),
-    )
-    target = gaussian_mean_target(spec)
-    mu, _ = gaussian_posterior(spec)
-    plan = MinibatchPlan(n_data=4, batch_size=4, rng=KeyedRng(6).child("mb"))
-    sched = StepSchedule(alpha=1.0, beta=10.0, gamma=0.6)
-    path = run_sgd(target, np.array([-3.0, 2.0]), 10**4, plan, sched)
-    assert np.max(np.abs(path[-1] - mu)) < 1e-3
 
 
 def test_sgld_full_batch_matches_langevin_proposal_form():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -11,14 +12,13 @@ from scipy import stats
 
 from bigbayes import rng as rng_module
 from bigbayes import subsample
-from bigbayes.mcmc import ChainState, gaussian_random_walk, mh_propose
+from bigbayes.mcmc import gaussian_random_walk, mh_propose
 from bigbayes.models import FactoredTarget, logistic_regression_target
 from bigbayes.rng import KeyedRng, _LazyPermutation
 from bigbayes.special import betainc_regularized, student_t_cdf, student_t_sf
 from bigbayes.subsample import (
     LLRAccumulator,
     StopRuleConfig,
-    adaptive_mh_step,
     concentration_should_stop,
     llr_terms,
     llr_update,
@@ -203,6 +203,16 @@ def test_llr_terms_rejects_a_kernel_that_reads_only_the_first_theta():
         llr_terms(target, np.array([0, 2, 4]), np.zeros(1), np.ones(1))
 
 
+@pytest.mark.parametrize("theta, theta_new", [(np.zeros(1), np.ones(2)),
+                                               (np.zeros((1, 1)), np.ones(1)),
+                                               (0.0, np.ones(1))])
+def test_llr_terms_rejects_parameters_of_two_shapes_naming_both(theta, theta_new):
+    target = flat_prior_target(np.zeros(4))
+    want = f"{np.shape(theta_new)} and {np.shape(theta)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        llr_terms(target, np.array([0, 1]), theta, theta_new)
+
+
 def test_llr_terms_is_one_kernel_call_per_batch(monkeypatch):
     xs = np.random.default_rng(30).standard_normal(20)
     target = flat_prior_target(xs)
@@ -244,15 +254,18 @@ def test_batched_moments_match_recompute(data, n):
 # -- t-test rule --------------------------------------------------------------
 
 def test_zero_variance_stops_immediately():
-    acc = LLRAccumulator(m=4, mean=0.5, mean_sq=0.25)
-    stop, rho = ttest_should_stop(acc, psi=0.3, N=100, epsilon=0.01)
-    assert stop and rho == 0.0
+    for mean, sign in ((0.5, 1.0), (0.1, -1.0)):
+        acc = LLRAccumulator(m=4, mean=mean, mean_sq=mean**2)
+        stop, t = ttest_should_stop(acc, psi=0.3, N=100, epsilon=0.01)
+        assert stop and t == sign * math.inf
+        assert student_t_sf(abs(t), 3) == 0.0  # rho
 
 
 def test_zero_variance_on_threshold_continues():
     acc = LLRAccumulator(m=4, mean=0.3, mean_sq=0.09)
-    stop, rho = ttest_should_stop(acc, psi=0.3, N=100, epsilon=0.01)
-    assert not stop and rho == 0.5
+    stop, t = ttest_should_stop(acc, psi=0.3, N=100, epsilon=0.01)
+    assert not stop and t == 0.0
+    assert student_t_sf(abs(t), 3) == 0.5  # rho
 
 
 def test_exhaustion_forces_stop():
@@ -272,7 +285,9 @@ def test_ttest_derived_numbers():
     assert sigma == pytest.approx(0.099504, abs=1e-6)
     t = (0.5 - 0.3) / sigma
     assert t == pytest.approx(2.0100, abs=1e-4)
-    stop, rho = ttest_should_stop(acc, psi=0.3, N=N, epsilon=0.05)
+    stop, t_rule = ttest_should_stop(acc, psi=0.3, N=N, epsilon=0.05)
+    assert t_rule == pytest.approx(2.0100, abs=1e-4)
+    rho = student_t_sf(abs(t_rule), m - 1)
     # oracle: independent statistics routine
     assert rho == pytest.approx(stats.t.sf(t, m - 1), abs=1e-10)
     assert rho == pytest.approx(0.0236, abs=2e-4)
@@ -282,6 +297,67 @@ def test_ttest_derived_numbers():
 def test_m_too_small_rejected():
     with pytest.raises(ValueError):
         ttest_should_stop(LLRAccumulator(m=1, mean=0.0, mean_sq=0.0), 0.0, 10, 0.1)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.0, math.nan])
+def test_ttest_rejects_an_epsilon_outside_the_unit_interval_naming_it(epsilon):
+    acc = LLRAccumulator(m=4, mean=0.5, mean_sq=0.5)
+    with pytest.raises(ValueError, match=f"epsilon.*{epsilon!r}"):
+        ttest_should_stop(acc, psi=0.3, N=100, epsilon=epsilon)
+
+
+def accumulator_with_t(m, t, N=10**30):
+    """(acc, psi, N) whose t statistic is exactly ``t``: at this N the
+    finite-population factor rounds to 1, mean_sq is stepped until sigma is
+    exactly 1, and psi = -t against a zero mean."""
+    mean_sq = m - 1.0
+    for _ in range(100):
+        acc = LLRAccumulator(m=m, mean=0.0, mean_sq=mean_sq)
+        sigma = acc.std() / math.sqrt(m) * math.sqrt((N - m) / (N - 1))
+        if sigma == 1.0:
+            return acc, -t, N
+        mean_sq = math.nextafter(mean_sq, math.inf if sigma < 1.0 else -math.inf)
+    raise AssertionError(f"no mean_sq gives sigma = 1 at m = {m}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(df=st.integers(1, 10**6), epsilon=st.floats(1e-12, 0.99), data=st.data())
+def test_ttest_decides_as_rho_at_most_epsilon(df, epsilon, data):
+    lo, hi = subsample._t_bracket(df, epsilon)
+    assert 0.0 <= lo <= hi
+    ends = [lo, hi] + [math.nextafter(x, to) for x in (lo, hi) for to in (0.0, math.inf)]
+    near = data.draw(st.lists(st.floats(-1e-6, 1e-6), max_size=4))
+    wide = data.draw(st.lists(st.floats(-1e4, 1e4, allow_nan=False), max_size=4))
+    for t in ends + [lo * (1.0 + r) for r in near] + [hi * (1.0 + r) for r in near] + wide:
+        acc, psi, N = accumulator_with_t(df + 1, t)
+        stop, t_rule = ttest_should_stop(acc, psi, N, epsilon)
+        assert t_rule == t
+        assert stop == (student_t_sf(abs(t), df) <= epsilon), (t, lo, hi)
+
+
+def test_ttest_chain_computes_rho_rarely(monkeypatch):
+    # a 300-step chain at N = 1e3 runs about 800 t-tests over a few values
+    # of m - 1; rho is computed to build each bracket and for a |t| inside it
+    rng = np.random.default_rng(32)
+    N = 1000
+    X = np.column_stack([np.ones(N), rng.standard_normal((N, 4))])
+    theta = np.array([0.5, 1.0, -1.0, 0.5, -0.5])
+    y = np.where(rng.random(N) < 1.0 / (1.0 + np.exp(-X @ theta)), 1.0, -1.0)
+    target = logistic_regression_target(X, y)
+    calls = collections.Counter()
+    real = subsample.student_t_sf
+
+    def counting(a, df):
+        calls[df] += 1
+        return real(a, df)
+
+    monkeypatch.setattr(subsample, "student_t_sf", counting)
+    subsample._t_bracket.cache_clear()
+    cfg = StopRuleConfig(rule="ttest", batch=100, epsilon=0.05)
+    _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.1), theta, 300, cfg,
+                                KeyedRng(33))
+    assert np.mean(m_used) > 150  # most steps run more than one test
+    assert calls and max(calls.values()) <= 40, calls
 
 
 # -- concentration rules ------------------------------------------------------
@@ -451,8 +527,8 @@ def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
     prop = gaussian_random_walk(0.05)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     theta0 = np.array([0.3])
-    _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
-                            KeyedRng(21).derive("step", t))
+    *_, m = subsample._subsampled_decision(target, prop, theta0, cfg,
+                                           KeyedRng(21).derive("step", t))
     # llr_update reads each batch once, for theta' and theta together
     got = np.concatenate(read)
     assert got.size == m < LAZY_N
@@ -472,8 +548,7 @@ def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
     prop = gaussian_random_walk(0.05)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule=rule)
     theta0 = np.array([0.3])
-    _, m = adaptive_mh_step(target, prop, ChainState(theta0), cfg,
-                            KeyedRng(22).derive("step", 0))
+    _, (m,) = run_adaptive_mh(target, prop, theta0, 1, cfg, KeyedRng(22))
     gen = after_proposal(prop, theta0, 22, 0)
     order = _LazyPermutation(LAZY_N, 10, gen, ordered=False)
     first = order.read(0, 10)
@@ -505,8 +580,7 @@ def test_one_batch_step_at_a_million_data_allocates_under_2_mb():
     prop = gaussian_random_walk(0.5)
     tracemalloc.start()
     try:
-        _, m = adaptive_mh_step(target, prop, ChainState(np.zeros(1)), cfg,
-                                KeyedRng(25).derive("step", 0))
+        _, (m,) = run_adaptive_mh(target, prop, np.zeros(1), 1, cfg, KeyedRng(25))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,8 +595,8 @@ def test_first_batch_at_a_million_data_allocates_no_data_sized_mask():
     cfg = StopRuleConfig(batch=100, epsilon=0.05, rule="ttest")
     tracemalloc.start()
     try:
-        _, m = adaptive_mh_step(target, gaussian_random_walk(0.5), ChainState(np.zeros(1)),
-                                cfg, KeyedRng(28).derive("step", 0))
+        _, (m,) = run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 1, cfg,
+                                  KeyedRng(28))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,9 +692,8 @@ def test_adaptive_step_reports_data_usage():
     rng = np.random.default_rng(9)
     target = flat_prior_target(rng.standard_normal(100))
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
-    state = ChainState(np.zeros(1))
-    state, m = adaptive_mh_step(target, gaussian_random_walk(0.5), state, cfg,
-                                np.random.default_rng(1))
+    *_, m = subsample._subsampled_decision(target, gaussian_random_walk(0.5), np.zeros(1),
+                                           cfg, np.random.default_rng(1))
     assert 10 <= m <= 100
 
 
@@ -631,11 +704,13 @@ def test_run_adaptive_mh_is_steps_on_keyed_streams(rule):
     cfg = StopRuleConfig(batch=20, epsilon=0.05, rule=rule)
     prop = gaussian_random_walk(0.3)
     buf, m_used = run_adaptive_mh(target, prop, np.zeros(1), 40, cfg, KeyedRng(14))
-    state = ChainState(np.zeros(1))
+    theta = np.zeros(1)
     for t in range(40):
-        state, m = adaptive_mh_step(target, prop, state, cfg, KeyedRng(14).derive("step", t))
-        assert np.array_equal(buf.draws[t], state.theta)
-        assert m == m_used[t]
+        theta_new, _, accept, m = subsample._subsampled_decision(
+            target, prop, theta, cfg, KeyedRng(14).derive("step", t))
+        theta = theta_new if accept else theta
+        assert np.array_equal(buf.draws[t], theta)
+        assert accept == buf.accept_flags[t] and m == m_used[t]
 
 
 def test_tail_proposals_use_less_data_than_mode_proposals():
@@ -679,14 +754,17 @@ def test_disagreement_rate_bounded_with_true_c():
     assert np.mean(m_used) < 500
 
 
-def test_empty_target_rejected_before_any_draw():
+def test_empty_target_rejected_before_any_draw(monkeypatch):
     target = FactoredTarget(dim=1, n_data=0, log_prior=lambda th: 0.0)
-    cfg = StopRuleConfig()
-    prop = gaussian_random_walk(0.5)
-    gen = np.random.default_rng(5)
-    before = gen.bit_generator.state
+    derived = []
+    real = KeyedRng.derive
+
+    def recording(self, *key):
+        derived.append(key)
+        return real(self, *key)
+
+    monkeypatch.setattr(KeyedRng, "derive", recording)
     with pytest.raises(ValueError, match="n_data=0"):
-        adaptive_mh_step(target, prop, ChainState(np.zeros(1)), cfg, gen)
-    assert gen.bit_generator.state == before
-    with pytest.raises(ValueError, match="n_data=0"):
-        run_adaptive_mh(target, prop, np.zeros(1), 5, cfg, KeyedRng(1))
+        run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 5, StopRuleConfig(),
+                        KeyedRng(1))
+    assert derived == []
