@@ -3,8 +3,8 @@ every name it exports is defined or imported in it. Only ``simcluster``
 sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 ``subsample`` use the parts of the MH transition, data orders are drawn
 only by ``rng``'s lazy permutation and tested without numpy's hashing
-calls, FlyMC draws nothing per datum, and every private module-level name
-is read somewhere."""
+calls, FlyMC and the prefetch predictor draw nothing per datum, and every
+private module-level name is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -233,6 +233,22 @@ def test_firefly_draws_nothing_per_datum():
     # would make every step O(N) again
     path = Path(bigbayes.__file__).parent / "firefly.py"
     assert data_sized_draws(path.read_text()) == [], "firefly.py draws N variates"
+
+
+PREFETCH = Path(bigbayes.__file__).parent / "prefetch.py"
+
+
+def test_prefetch_draws_nothing_per_datum():
+    # a predictor call draws one batch of indices; an N-sized draw would
+    # make every speculated node O(N), as costly as evaluating it
+    assert data_sized_draws(PREFETCH.read_text()) == [], "prefetch.py draws N variates"
+
+
+def test_data_sized_draw_checker_flags_a_draw_planted_in_prefetch():
+    source = PREFETCH.read_text()
+    assert source.count("size=m,") == 1
+    planted = source.replace("size=m,", "size=target.n_data,")
+    assert [name for _, name in data_sized_draws(planted)] == ["choice"]
 
 
 def dead_private_names(sources: dict):
