@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 FD_REL_STEP = 1e-6
+# terms per differenced block in the gradient fallback: its scratch memory
+# beyond the (m, d) result stays a few of these blocks' worth
+FD_BLOCK = 512
 
 
 def finite_difference_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -131,12 +134,13 @@ class FactoredTarget:
     reads ``theta[0]`` as the first coordinate breaks this; index the last
     axis instead (``theta[..., :1]``). The gradient kernel takes one theta.
     A missing ``grad_log_prior`` or ``grad_log_lik_terms`` falls back to
-    central finite differences, the latter taken over the whole batch at
-    once (``finite_difference_gradient`` of the array-valued
-    ``log_lik_terms(idx, .)``). The fallbacks read the kernels when called,
-    so a kernel assigned after construction (a term-counting wrapper, say)
-    is the one differenced. No sampler assigns to a target, so one instance
-    can be shared across workers.
+    central finite differences, the latter taken over blocks of
+    ``FD_BLOCK`` terms of the batch (``finite_difference_gradient`` of the
+    array-valued ``log_lik_terms(block, .)``), so a large batch needs little
+    scratch memory beyond its result. The fallbacks read the kernels when
+    called, so a kernel assigned after construction (a term-counting
+    wrapper, say) is the one differenced. No sampler assigns to a target,
+    so one instance can be shared across workers.
 
     A batch of term indices is an array with an integer dtype or a
     ``range``, and every batch kernel, a user's included, must accept both.
@@ -169,8 +173,18 @@ class FactoredTarget:
         if self.grad_log_prior is None:
             self.grad_log_prior = lambda th: finite_difference_gradient(self.log_prior, th)
         if self.grad_log_lik_terms is None and self.log_lik_terms is not None:
-            self.grad_log_lik_terms = lambda idx, th: finite_difference_gradient(
-                lambda t: self.log_lik_terms(idx, t), th)
+            self.grad_log_lik_terms = self._differenced_terms
+
+    def _differenced_terms(self, idx, theta) -> np.ndarray:
+        """The (m, d) central-difference gradients of the terms ``idx``,
+        differenced ``FD_BLOCK`` terms at a time into one array."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty((len(idx), theta.size))
+        for start in range(0, len(idx), FD_BLOCK):
+            part = idx[start:start + FD_BLOCK]
+            out[start:start + len(part)] = finite_difference_gradient(
+                lambda t: self.log_lik_terms(part, t), theta)
+        return out
 
     # -- full-data sums -----------------------------------------------------
 

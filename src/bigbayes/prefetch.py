@@ -14,10 +14,10 @@ of highest path probability, ties broken on (depth, key): naive prefetching
 (Brockwell 2006) sets every branch probability to 1/2, which is breadth-first
 order, and predictive prefetching (Angelino et al. 2014) asks a predictor.
 ``subsample_predictor`` estimates the log-likelihood ratio from a batch with
-the control-variate difference estimator of Quiroz et al. (JASA 2019),
-centred at the run's start (the first root it sees) after a one-time
-O(N d) gradient pass; a reused predictor keeps that first centre, which
-stays unbiased but may predict less well. Predictions only order the
+the package's one estimator, ``subsample.TaylorProxy``'s control-variate
+residuals, centred at the run's start (the first root it sees) after a
+one-time O(N d) gradient pass; a reused predictor keeps that first centre,
+which stays unbiased but may predict less well. Predictions only order the
 speculation, never a decision, and predictor work is not charged to the
 simulated clock.
 """
@@ -33,7 +33,7 @@ from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, _start_log_joi
                    mh_log_alpha, mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
-from .subsample import llr_terms
+from .subsample import TaylorProxy, llr_terms
 
 __all__ = [
     "SpecTree",
@@ -43,10 +43,6 @@ __all__ = [
     "subsample_predictor",
     "prefetch_run",
 ]
-
-# terms per gradient-kernel call in a predictor's one-time pass
-_GRAD_BLOCK = 4096
-
 
 @dataclass
 class _Node:
@@ -172,10 +168,11 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     ratios; it is unbiased for every c.
 
     The centre is the tree's root at the first call, the start of the run.
-    That call also sums G in one O(N d) pass over unit-step ``range``
-    blocks of the gradient kernel, so no N-sized array is made. Every call
-    reads, per batch index, the terms at theta and theta' in one
-    ``llr_terms`` gather and the gradient at c in one more. A predictor
+    That call also builds the ``subsample.TaylorProxy`` there, which sums G
+    in one O(N d) blocked pass of the gradient kernel, so no N-sized array
+    is made. Every call reads the batch's residuals with ``llr_terms`` on
+    the proxy's residual target: per batch index, the terms at theta and
+    theta' in one gather and the gradient at c in one more. A predictor
     reused for another run keeps its first centre: still unbiased, but
     less accurate if the new run starts elsewhere. Predictor work is not
     charged to the simulated cluster's clock.
@@ -186,24 +183,20 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
                          f"({type(batch_size).__name__})")
     gen = np.random.default_rng(seed)
     m = min(batch_size, target.n_data)
-    centre = grad_sum = None
+    proxy = None
 
     def predict(tree, parent_key, child_key):
-        nonlocal centre, grad_sum
+        nonlocal proxy
         theta = tree.state_for_prefix(parent_key)
         theta_new = tree.materialize(child_key).theta
         est = target.log_prior(theta_new) - target.log_prior(theta)
         if m:
             n = target.n_data
-            if centre is None:
-                centre = tree.root_theta.copy()
-                blocks = (range(s, min(s + _GRAD_BLOCK, n)) for s in range(0, n, _GRAD_BLOCK))
-                grad_sum = sum(target.grad_log_lik_terms(b, centre).sum(axis=0) for b in blocks)
+            if proxy is None:
+                proxy = TaylorProxy(target, tree.root_theta)
             idx = gen.choice(n, size=m, replace=False)
-            step = theta_new - theta
-            r = (llr_terms(target, idx, theta, theta_new)
-                 - target.grad_log_lik_terms(idx, centre) @ step)
-            est += float(grad_sum @ step) + n * float(np.mean(r))
+            r = llr_terms(proxy.target, idx, theta, theta_new)
+            est += proxy.llr_sum(theta, theta_new) + n * float(np.mean(r))
         log_alpha = mh_log_alpha(est, tree.proposal, theta, theta_new)
         return 0.0 if math.isnan(log_alpha) else math.exp(min(0.0, log_alpha))
 

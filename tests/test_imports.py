@@ -3,8 +3,9 @@ every name it exports is defined or imported in it. Only ``simcluster``
 sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 ``subsample`` use the parts of the MH transition, data orders are drawn
 only by ``rng``'s lazy permutation and tested without numpy's hashing
-calls, FlyMC and the prefetch predictor draw nothing per datum, and every
-private module-level name is read somewhere."""
+calls, FlyMC and the prefetch predictor draw nothing per datum, the
+predictor reads gradients only through ``subsample``'s one estimator, and
+every private module-level name is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -249,6 +250,30 @@ def test_data_sized_draw_checker_flags_a_draw_planted_in_prefetch():
     assert source.count("size=m,") == 1
     planted = source.replace("size=m,", "size=target.n_data,")
     assert [name for _, name in data_sized_draws(planted)] == ["choice"]
+
+
+def gradient_kernel_references(source: str):
+    """Lines of every name or attribute in ``source`` called ``grad_log_lik_terms``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Name) and node.id == "grad_log_lik_terms")
+                  or (isinstance(node, ast.Attribute) and node.attr == "grad_log_lik_terms"))
+
+
+def test_gradient_kernel_checker_flags_a_read_planted_in_prefetch():
+    source = PREFETCH.read_text()
+    line = "            r = llr_terms(proxy.target, idx, theta, theta_new)\n"
+    assert source.count(line) == 1
+    planted = source.replace(line, line + "            g = target.grad_log_lik_terms(idx, theta)\n")
+    start = source[:source.index(line)].count("\n") + 1
+    assert gradient_kernel_references(planted) == [start + 1]
+    assert gradient_kernel_references('doc = "grad_log_lik_terms"\n') == []  # code only
+
+
+def test_prefetch_estimates_only_through_the_subsample_proxy():
+    # a predictor that read the gradient kernel itself would be a second
+    # log-likelihood-ratio estimator beside subsample.TaylorProxy
+    assert gradient_kernel_references(PREFETCH.read_text()) == [], (
+        "prefetch.py reads grad_log_lik_terms")
 
 
 def dead_private_names(sources: dict):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bigbayes.consensus import ShardPlan, subposterior_target
 from bigbayes.firefly import BOUND_SLACK, logistic_quadratic_bound
 from bigbayes.models import (
+    FD_BLOCK,
     FactoredTarget,
     GaussianModelSpec,
     finite_difference_gradient,
@@ -235,6 +236,25 @@ def test_batch_only_target_gets_finite_difference_batch_gradient():
         got = batch_only.grad_log_lik_terms(idx, th)
         assert got.shape == (len(idx), 2)
         assert np.allclose(got, full.grad_log_lik_terms(idx, th), rtol=1e-6, atol=1e-8)
+
+
+def test_finite_difference_fallback_differences_a_long_batch_in_blocks():
+    # every term's difference is the one the whole batch at once would give
+    n = 2 * FD_BLOCK + 37
+    xs = np.random.default_rng(11).standard_normal(n)
+    calls = []
+
+    def terms(idx, th):
+        calls.append(len(idx))
+        return -0.5 * (xs[np.asarray(idx)] - th[..., :1]) ** 2 * th[..., 1:]
+
+    target = FactoredTarget(dim=2, n_data=n, log_prior=lambda th: 0.0, log_lik_terms=terms)
+    th = np.array([0.3, 1.7])
+    for idx in (range(n), np.random.default_rng(12).permutation(n)):
+        want = finite_difference_gradient(lambda t: terms(idx, t), th)
+        calls.clear()
+        assert np.array_equal(target.grad_log_lik_terms(idx, th), want)
+        assert calls == [FD_BLOCK] * 4 + [FD_BLOCK] * 4 + [37] * 4  # 2 d calls a block
 
 
 def test_finite_difference_fallbacks_read_kernels_assigned_later():

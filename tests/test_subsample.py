@@ -13,12 +13,13 @@ from scipy import stats
 from bigbayes import rng as rng_module
 from bigbayes import subsample
 from bigbayes.mcmc import gaussian_random_walk, mh_propose
-from bigbayes.models import FactoredTarget, logistic_regression_target
+from bigbayes.models import FactoredTarget, gaussian_iid_target, logistic_regression_target
 from bigbayes.rng import KeyedRng, _LazyPermutation
 from bigbayes.special import betainc_regularized, student_t_cdf, student_t_sf
 from bigbayes.subsample import (
     LLRAccumulator,
     StopRuleConfig,
+    TaylorProxy,
     concentration_should_stop,
     llr_terms,
     llr_update,
@@ -38,6 +39,17 @@ def flat_prior_target(values):
 
     return FactoredTarget(dim=1, n_data=len(xs), log_prior=lambda th: 0.0,
                           log_lik_terms=terms)
+
+
+def logistic_target(n, seed, d=1):
+    """Logistic regression on ``n`` seeded standard-normal feature rows of
+    length ``d``, labels drawn at coefficients all 1. A stopping rule
+    averages residuals of a first-order Taylor proxy, which have real
+    spread here; on ``flat_prior_target`` they are the same for every n."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-X.sum(axis=1))), 1.0, -1.0)
+    return logistic_regression_target(X, y)
 
 
 # -- special functions --------------------------------------------------------
@@ -451,15 +463,13 @@ def test_config_validation():
 # -- whole-step behaviour -----------------------------------------------------
 
 def test_tiny_epsilon_recovers_exact_decisions():
-    rng = np.random.default_rng(6)
-    xs = rng.standard_normal(40)
-    target = flat_prior_target(xs)
+    target = logistic_target(40, 6)
     prop = gaussian_random_walk(0.8)
     cfg = StopRuleConfig(batch=5, epsilon=1e-300, rule="ttest")
     buf, m_used, disagreements = run_adaptive_mh(target, prop, np.zeros(1), 300,
                                                  cfg, KeyedRng(7), compare_exact=True)
     assert disagreements == 0
-    assert np.all(m_used == 40)  # continuous data: stops only at exhaustion
+    assert np.all(m_used == 40)  # residuals with spread: stops only at exhaustion
 
 
 # Above 4 (10 + 1024), so an order drawn in blocks of 10 is drawn lazily.
@@ -487,13 +497,12 @@ def after_proposal(prop, theta0, seed, t):
 
 
 def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
-    rng = np.random.default_rng(14)
     N = 500
-    target = flat_prior_target(rng.standard_normal(N))
+    target = logistic_target(N, 14, d=5)
     read = record_reads(monkeypatch, target)
-    prop = gaussian_random_walk(0.05)
+    prop = gaussian_random_walk(0.1)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
-    theta0 = np.array([0.3])
+    theta0 = np.ones(5)
     _, m_used = run_adaptive_mh(target, prop, theta0, 1, cfg, KeyedRng(15))
     # llr_update reads each batch once, for theta' and theta together
     got = np.concatenate(read)
@@ -513,7 +522,7 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
         return out
 
     monkeypatch.setattr(subsample, "llr_update", counting)
-    target = flat_prior_target(np.random.default_rng(16).standard_normal(300))
+    target = logistic_target(300, 16)
     cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule="ttest")
     _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 1,
                                 cfg, KeyedRng(17))
@@ -522,13 +531,15 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
 
 @pytest.mark.parametrize("t", range(6))
 def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
-    target = flat_prior_target(np.random.default_rng(20).standard_normal(LAZY_N))
+    # the gradient kernel is not the recorded one, so only the ratios' reads show
+    target = logistic_target(LAZY_N, 20, d=5)
     read = record_reads(monkeypatch, target)
-    prop = gaussian_random_walk(0.05)
+    prop = gaussian_random_walk(0.1)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
-    theta0 = np.array([0.3])
+    theta0 = np.ones(5)
     *_, m = subsample._subsampled_decision(target, prop, theta0, cfg,
-                                           KeyedRng(21).derive("step", t))
+                                           KeyedRng(21).derive("step", t),
+                                           TaylorProxy(target, theta0))
     # llr_update reads each batch once, for theta' and theta together
     got = np.concatenate(read)
     assert got.size == m < LAZY_N
@@ -543,7 +554,7 @@ def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
 
 @pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
 def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
-    target = flat_prior_target(np.random.default_rng(20).standard_normal(LAZY_N))
+    target = logistic_target(LAZY_N, 20)
     read = record_reads(monkeypatch, target)
     prop = gaussian_random_walk(0.05)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule=rule)
@@ -564,10 +575,13 @@ def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
 
 @pytest.mark.parametrize("rule", ["ttest", "hoeffding", "bernstein"])
 def test_tiny_epsilon_recovers_exact_decisions_on_a_lazy_order(rule):
-    target = flat_prior_target(np.random.default_rng(23).standard_normal(LAZY_N))
+    # five coefficients, from near the mode: with one, the residuals are so
+    # small next to |Lambda - psi| that even this epsilon settles many steps
+    # within a few hundred terms
+    target = logistic_target(LAZY_N, 23, d=5)
     cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule=rule)
     _, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.05),
-                                               np.zeros(1), 30, cfg, KeyedRng(24),
+                                               np.ones(5), 30, cfg, KeyedRng(24),
                                                compare_exact=True)
     assert disagreements == 0
     assert np.mean(m_used) > LAZY_N / 2
@@ -693,41 +707,43 @@ def test_adaptive_step_reports_data_usage():
     target = flat_prior_target(rng.standard_normal(100))
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     *_, m = subsample._subsampled_decision(target, gaussian_random_walk(0.5), np.zeros(1),
-                                           cfg, np.random.default_rng(1))
+                                           cfg, np.random.default_rng(1),
+                                           TaylorProxy(target, np.zeros(1)))
     assert 10 <= m <= 100
 
 
 @pytest.mark.parametrize("rule", ["ttest", "hoeffding", "bernstein"])
 def test_run_adaptive_mh_is_steps_on_keyed_streams(rule):
-    rng = np.random.default_rng(13)
-    target = flat_prior_target(rng.standard_normal(300))
+    target = logistic_target(300, 13)
     cfg = StopRuleConfig(batch=20, epsilon=0.05, rule=rule)
     prop = gaussian_random_walk(0.3)
     buf, m_used = run_adaptive_mh(target, prop, np.zeros(1), 40, cfg, KeyedRng(14))
+    proxy = TaylorProxy(target, np.zeros(1))  # the run's centre is its start
     theta = np.zeros(1)
     for t in range(40):
         theta_new, _, accept, m = subsample._subsampled_decision(
-            target, prop, theta, cfg, KeyedRng(14).derive("step", t))
+            target, prop, theta, cfg, KeyedRng(14).derive("step", t), proxy)
         theta = theta_new if accept else theta
         assert np.array_equal(buf.draws[t], theta)
         assert accept == buf.accept_flags[t] and m == m_used[t]
 
 
 def test_tail_proposals_use_less_data_than_mode_proposals():
-    # far-out proposals decide early; near-mode proposals read more data
-    rng = np.random.default_rng(10)
-    xs = rng.standard_normal(5000)
-    target = flat_prior_target(xs)
-    cfg = StopRuleConfig(batch=50, epsilon=0.05, rule="ttest")
+    # far-out proposals decide early; near-mode proposals read more data.
+    # Each chain's proxy is centred at its start, and on this target a first
+    # batch of 50 residuals decides almost every step anywhere, so the
+    # batch is 10
+    target = logistic_target(5000, 10, d=5)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     prop = gaussian_random_walk(0.05)
 
     def usage(theta0, T=60, seed=0):
-        _, m_used = run_adaptive_mh(target, prop, np.array([theta0]), T, cfg,
+        _, m_used = run_adaptive_mh(target, prop, np.full(5, theta0), T, cfg,
                                     KeyedRng(seed))
         return np.median(m_used)
 
     m_tail = usage(4.0)   # chain out in the tail: |Lambda - psi| large
-    m_mode = usage(0.0)   # chain near the mode
+    m_mode = usage(1.0)   # chain near the mode, the coefficients the labels were drawn at
     assert m_tail < m_mode
 
 
@@ -754,6 +770,28 @@ def test_disagreement_rate_bounded_with_true_c():
     assert np.mean(m_used) < 500
 
 
+@pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
+def test_disagreement_rate_bounded_with_the_true_residual_range(rule):
+    # the rules average residuals, so a true C bounds their range max |r_n|;
+    # here the residuals vary, unlike on flat_prior_target
+    N = 2000
+    target = logistic_target(N, 11, d=5)
+    theta0 = np.ones(5)
+    residual = TaylorProxy(target, theta0).target  # the run's centre is its start
+
+    def true_c(th, thp):
+        r = llr_terms(residual, residual.all_indices(), th, thp)
+        return float(np.max(np.abs(r))) + 1e-12
+
+    cfg = StopRuleConfig(batch=50, epsilon=0.05, rule=rule, c_bound=true_c)
+    _, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.3), theta0,
+                                               2000, cfg, KeyedRng(12), compare_exact=True)
+    # binomial 99% upper bound on the per-step disagreement probability
+    upper = stats.beta.ppf(0.99, disagreements + 1, 2000 - disagreements)
+    assert upper <= 0.05
+    assert np.mean(m_used) < N
+
+
 def test_empty_target_rejected_before_any_draw(monkeypatch):
     target = FactoredTarget(dim=1, n_data=0, log_prior=lambda th: 0.0)
     derived = []
@@ -768,3 +806,75 @@ def test_empty_target_rejected_before_any_draw(monkeypatch):
         run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 5, StopRuleConfig(),
                         KeyedRng(1))
     assert derived == []
+
+
+# -- the Taylor proxy -----------------------------------------------------------
+
+def test_gaussian_residuals_decide_at_the_first_batch_as_exact_mh_does():
+    # on a Gaussian mean model r_n = (theta' - theta)(c - (theta + theta') / 2)
+    # for every n, so the t-test sees no spread and the first batch decides
+    xs = np.random.default_rng(34).normal(0.5, 1.0, 1000)
+    target = gaussian_iid_target(xs)
+    theta0 = np.array([0.3])
+    th, thp = np.array([0.45]), np.array([0.62])
+    r = llr_terms(TaylorProxy(target, theta0).target, target.all_indices(), th, thp)
+    assert r == pytest.approx(np.full(1000, (thp - th)[0] * (theta0 - (th + thp) / 2)[0]),
+                              rel=1e-9, abs=1e-15)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
+    buf, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.1), theta0,
+                                                 200, cfg, KeyedRng(35), compare_exact=True)
+    assert disagreements == 0
+    assert np.all(m_used == 10)
+    assert 0.0 < buf.acceptance_rate < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9000))
+def test_residuals_plus_the_proxy_sum_are_the_full_data_ratio(data, n):
+    # n up to 9000 spans one to three blocks of the one-time gradient pass
+    target = logistic_target(n, data.draw(st.integers(0, 2**32 - 1)), d=2)
+    near = st.floats(-3.0, 3.0)
+    far = st.floats(-50.0, 50.0)  # centres far from theta make large residuals
+    theta = np.array(data.draw(st.lists(near, min_size=2, max_size=2)))
+    theta_new = np.array(data.draw(st.lists(near, min_size=2, max_size=2)))
+    centre = np.array(data.draw(st.lists(far, min_size=2, max_size=2)))
+    proxy = TaylorProxy(target, centre)
+    idx = target.all_indices()
+    ell = llr_terms(target, idx, theta, theta_new)
+    r = llr_terms(proxy.target, idx, theta, theta_new)
+    # a residual is a difference of the residual target's terms at theta'
+    # and theta, l_n - grad l_n(c) . (. - c), so it rounds at their size
+    grads = target.grad_log_lik_terms(idx, centre)
+    terms = target.log_lik_terms(idx, np.array([theta_new, theta]))
+    scale = float(np.abs(terms).sum()
+                  + np.abs(np.array([theta_new - centre, theta - centre]) @ grads.T).sum())
+    total = float(r.sum()) + proxy.llr_sum(theta, theta_new)
+    # tiny: a sum of subnormals can be off by one subnormal step
+    assert abs(total - float(ell.sum())) <= 1e-12 * scale + np.finfo(float).tiny
+
+
+def test_a_run_reads_the_gradients_at_its_start_once_in_blocks(monkeypatch):
+    n = 10_000  # blocks of 4096, 4096 and 1808 terms
+    target = logistic_target(n, 36)
+    calls = []
+    grad = target.grad_log_lik_terms
+
+    def counting(idx, th):
+        calls.append((idx, np.array(th)))
+        return grad(idx, th)
+
+    monkeypatch.setattr(target, "grad_log_lik_terms", counting)
+    theta0 = np.array([0.8])
+    cfg = StopRuleConfig(batch=20, epsilon=0.05, rule="ttest")
+    for seed in (37, 38):
+        calls.clear()
+        _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.3), theta0, 30, cfg,
+                                    KeyedRng(seed))
+        # the set-up pass: unit-step ranges, in order, that cover the data once
+        setup = list(itertools.takewhile(lambda call: isinstance(call[0], range), calls))
+        assert len(setup) > 1 and all(len(idx) < n for idx, _ in setup)
+        assert np.array_equal(np.concatenate([np.asarray(idx) for idx, _ in setup]),
+                              np.arange(n))
+        # then one call per batch, at the same indices the ratios read
+        assert sum(len(idx) for idx, _ in calls[len(setup):]) == m_used.sum() < 30 * n
+        assert all(np.array_equal(th, theta0) for _, th in calls)
