@@ -263,7 +263,7 @@ def sample_subposteriors_on_cluster(target: FactoredTarget, plan: ShardPlan,
     """
     J = plan.J
     if cluster.n_workers != J:
-        raise ValueError("need one worker per shard")
+        raise ValueError(f"need one worker per shard, got {cluster.n_workers} for {J} shards")
 
     def shard_task(j):
         sub = subposterior_target(target, plan, j)

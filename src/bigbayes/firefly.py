@@ -1,8 +1,9 @@
 """Firefly Monte Carlo: exact-posterior sampling that touches only bright data.
 
-Each datum carries a binary brightness indicator. Dark points contribute
-through a collapsible lower bound on their likelihood, summarized by the sum
-of their sufficient statistics (``LikelihoodBound.dark_stat_sum``), one
+Each datum carries a binary brightness indicator, held only as the sorted
+bright indices, so a state and a flip take O(bright) memory. Dark points
+contribute through a collapsible lower bound on their likelihood, summed
+as sufficient statistics (``LikelihoodBound.dark_stat_sum``) into one
 fixed-size vector kept incrementally as indicators flip. A step evaluates
 likelihood terms only for bright points and for the resampled indicators
 that can change: the resample thins its dark members by the bound's largest
@@ -155,20 +156,15 @@ def logistic_quadratic_bound(X, y, theta_ref) -> LikelihoodBound:
 
 @dataclass
 class FireflyState:
-    """The chain's theta and brightness indicators. ``z`` is never changed
-    in place: a resample that flips an indicator makes a new array, so
-    ``bright``, the sorted bright indices (found from ``z`` when not given),
-    is read without another O(N) scan."""
+    """The chain's theta and brightness: ``bright`` holds the sorted, distinct
+    indices (intp) of the bright data; the rest are dark. It is never changed
+    in place; a resample that flips an indicator makes a new array. A step
+    builds two states, so construction checks nothing; ``check_coherence`` does."""
 
     theta: np.ndarray
-    z: np.ndarray                      # (N,) bool, True = bright
+    bright: np.ndarray                 # sorted bright indices, z_n = 1
     dark_stat_sum: np.ndarray          # bound.dark_stat_sum of the dark points
     log_joint_aug: Optional[float] = None  # flymc_log_joint; None after a flip
-    bright: Optional[np.ndarray] = None    # np.flatnonzero(z)
-
-    def __post_init__(self):
-        if self.bright is None:
-            self.bright = np.flatnonzero(self.z)
 
     @property
     def bright_count(self) -> int:
@@ -204,10 +200,9 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
     rho_z = 1, which reads only the data that can turn bright."""
     if init not in ("dark", "sample"):
         raise ValueError(f"unknown init {init!r}")
-    theta0 = np.asarray(theta0, dtype=float)
     # the full-data sum reads the data as views
-    state = FireflyState(theta=theta0.copy(), z=np.zeros(target.n_data, dtype=bool),
-                         dark_stat_sum=bound.dark_stat_sum(target.all_indices()))
+    state = FireflyState(np.array(theta0, dtype=float), _NO_INDEX,
+                         bound.dark_stat_sum(target.all_indices()))
     if init == "sample":
         state, _ = resample_brightness(state, target, bound, 1.0, rng)
     return state
@@ -215,8 +210,7 @@ def init_firefly(target, bound, theta0, rng: np.random.Generator,
 
 def flymc_log_joint(state: FireflyState, target, bound) -> float:
     """Augmented log joint; likelihood terms touched only for bright points."""
-    theta = state.theta
-    bright = state.bright
+    theta, bright = state.theta, state.bright
     val = float(target.log_prior(theta))
     if len(bright):
         log_l = target.log_lik_terms(bright, theta)
@@ -254,17 +248,17 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
     with ValueError.
 
     Returns (state', n_likelihood_evals), the evaluations being the h + c
-    members read. The dark statistic aggregate and the bright indices are
-    updated incrementally; ``z`` is copied only when an indicator flips. A
-    flip drops the cached augmented log joint (``log_joint_aug`` becomes
-    None), which the next theta-move's ``mh_step`` evaluates afresh with
-    ``flymc_log_joint``.
+    members read. The dark statistic aggregate is updated incrementally. A
+    flip makes a new ``bright`` in O(b + h + c) memory and drops the cached
+    augmented log joint (``log_joint_aug`` becomes None), which the next
+    theta-move's ``mh_step`` evaluates afresh with ``flymc_log_joint``. A
+    resample that flips nothing hands on the caller's ``bright``.
     """
     if not 0.0 < rho_z <= 1.0:
-        raise ValueError("rho_z must lie in (0, 1]")
+        raise ValueError(f"rho_z must lie in (0, 1], got {rho_z!r}")
     N = target.n_data
     k = math.ceil(rho_z * N)
-    theta, z, bright = state.theta, state.z, state.bright
+    theta, bright = state.theta, state.bright
     stat_sum, lj = state.dark_stat_sum, state.log_joint_aug
     b = len(bright)
     h = int(rng.hypergeometric(b, N - b, k)) if b else 0
@@ -291,11 +285,8 @@ def resample_brightness(state: FireflyState, target, bound, rho_z: float,
             stat_sum = (stat_sum + bound.dark_stat_sum(bright[gone])
                         - bound.dark_stat_sum(to_bright))
             lj = None
-            z = z.copy()
-            z[idx] = lit
             bright = np.sort(np.concatenate([np.delete(bright, gone), to_bright]))
-    return FireflyState(theta=theta.copy(), z=z, dark_stat_sum=stat_sum,
-                        log_joint_aug=lj, bright=bright), h + c
+    return FireflyState(theta.copy(), bright, stat_sum, lj), h + c
 
 
 def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
@@ -305,13 +296,12 @@ def flymc_step(state: FireflyState, target, bound, proposal: ProposalDist,
     MH draws (``mcmc.mh_propose``) first, the resample from the rest of the
     stream. Returns (state', accepted, n_likelihood_evals). The caller's
     ``state`` is not modified."""
-    z, dark, bright = state.z, state.dark_stat_sum, state.bright
+    bright, dark = state.bright, state.dark_stat_sum
     augmented = SimpleNamespace(log_joint=lambda th: flymc_log_joint(
-        FireflyState(th, z, dark, bright=bright), target, bound))
+        FireflyState(th, bright, dark), target, bound))
     moved, accepted = mh_step(augmented, proposal,
                               ChainState(state.theta, log_joint=state.log_joint_aug), rng)
-    state = FireflyState(theta=np.asarray(moved.theta, float), z=z, dark_stat_sum=dark,
-                         log_joint_aug=moved.log_joint, bright=bright)
+    state = FireflyState(np.asarray(moved.theta, float), bright, dark, moved.log_joint)
     state, n_read = resample_brightness(state, target, bound, rho_z, rng)
     return state, accepted, len(bright) + n_read
 
@@ -329,6 +319,8 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
     likelihood terms of its augmented joint at theta') plus the terms its
     resample evaluated.
     """
+    if not 0.0 < rho_z <= 1.0:  # before init_firefly reads the data
+        raise ValueError(f"rho_z must lie in (0, 1], got {rho_z!r}")
 
     def step(state, t, gen):
         state, accepted, n_ev = flymc_step(state, target, bound, proposal, rho_z, gen)
@@ -347,19 +339,18 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
 
 
 def check_coherence(state: FireflyState, target, bound, atol: float = 1e-8):
-    """Debug invariant: the bright indices, the dark aggregate and any cached
-    augmented log joint equal a fresh recomputation."""
-    if not np.array_equal(state.bright, np.flatnonzero(state.z)):
-        raise AssertionError(f"bright index cache incoherent: {state.bright}")
-    fresh = bound.dark_stat_sum(np.flatnonzero(~state.z))
+    """Debug invariant: ``bright`` is sorted, distinct intp in [0, N), and the
+    dark aggregate and any cached augmented log joint equal a fresh
+    recomputation over its complement, which reads O(N)."""
+    bright, N = state.bright, target.n_data
+    if not (bright.dtype == np.intp and np.all(np.diff(bright) > 0)
+            and np.all((bright >= 0) & (bright < N))):
+        raise AssertionError(f"bright indices not sorted, distinct and in [0, {N}): {bright!r}")
+    fresh = bound.dark_stat_sum(np.delete(np.arange(N), bright))
     if not np.allclose(fresh, state.dark_stat_sum, atol=atol, rtol=1e-8):
-        raise AssertionError(
-            f"dark statistic cache incoherent: {state.dark_stat_sum} vs {fresh}"
-        )
+        raise AssertionError(f"dark statistic cache incoherent: {state.dark_stat_sum} vs {fresh}")
     if state.log_joint_aug is not None:
-        fresh_lj = flymc_log_joint(
-            FireflyState(state.theta, state.z, fresh), target, bound
-        )
+        fresh_lj = flymc_log_joint(FireflyState(state.theta, bright, fresh), target, bound)
         if not math.isclose(fresh_lj, state.log_joint_aug, rel_tol=1e-8, abs_tol=1e-6):
             raise AssertionError("augmented log joint cache incoherent")
     return True

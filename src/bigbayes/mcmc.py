@@ -168,6 +168,8 @@ def run_chain(step: Callable, state, T: int, rng: KeyedRng):
     Returns (SampleBuffer of state'.theta, final state, (T, k) int array of
     the stats); with T = 0 that array has shape (0,), so callers reshape it.
     """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
     draws = np.empty((T, state.theta.size))
     flags = np.empty(T, dtype=bool)
     stats = []

@@ -263,6 +263,8 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     ``cluster.map_on_workers`` fan-out whose replies all reach the master
     before an ``align_clocks`` barrier.
     """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
     if policy == "naive":
         if predictor is not None:
             raise ValueError("policy 'naive' takes no predictor")
@@ -276,7 +278,7 @@ def prefetch_run(target, proposal: ProposalDist, theta0, T: int, J: int,
     if cluster is None:
         cluster = SimCluster(J, seed=rng.seed)
     if cluster.n_workers != J:
-        raise ValueError("cluster must have J workers")
+        raise ValueError(f"cluster must have J workers, got {cluster.n_workers} for J = {J}")
 
     tree = SpecTree(proposal, theta0, rng)
     eval_cost = float(target.n_data + 1)

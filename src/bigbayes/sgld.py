@@ -37,11 +37,11 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+            raise ValueError(f"alpha and beta must be positive, got {self.alpha} and {self.beta}")
         if not 0.5 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0.5, 1] for a valid schedule")
+            raise ValueError(f"gamma must lie in (0.5, 1] for a valid schedule, got {self.gamma!r}")
         if self.floor < 0:
-            raise ValueError("floor must be nonnegative")
+            raise ValueError(f"floor must be nonnegative, got {self.floor!r}")
 
     def __call__(self, t: int) -> float:
         return max(self.alpha * (self.beta + t) ** (-self.gamma), self.floor)
@@ -123,6 +123,8 @@ def sgld_step(theta, target, plan: MinibatchPlan, schedule: StepSchedule, t: int
 
 def run_sgld(target, theta0, T: int, plan: MinibatchPlan, schedule: StepSchedule,
              rng: KeyedRng) -> np.ndarray:
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
     theta = np.asarray(theta0, dtype=float).copy()
     gen = rng.generator()
     out = np.empty((T, theta.size))

@@ -39,7 +39,7 @@ class SimCluster:
 
     def __init__(self, n_workers: int, seed: int = 0, msg_latency: float = 1.0):
         if n_workers < 1:
-            raise ValueError("need at least one worker")
+            raise ValueError(f"need at least one worker, got n_workers = {n_workers!r}")
         _check_cost("msg_latency", msg_latency)
         self.n_workers = n_workers
         self.msg_latency = float(msg_latency)

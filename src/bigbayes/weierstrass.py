@@ -41,7 +41,7 @@ class WeierstrassState:
         self.h = np.broadcast_to(np.asarray(self.h, dtype=float),
                                  self.theta.shape).copy()
         if np.any(self.h <= 0):
-            raise ValueError("bandwidths must be positive")
+            raise ValueError(f"bandwidths must be positive, got h = {self.h.tolist()}")
 
 
 def theta_update(state: WeierstrassState, rng: np.random.Generator) -> np.ndarray:
@@ -62,7 +62,7 @@ def xi_update(state: WeierstrassState, j: int, subposterior, inner_steps: int,
     min(h), all drawn from ``rng``.
     """
     if inner_steps < 1:
-        raise ValueError("inner_steps must be >= 1")
+        raise ValueError(f"inner_steps must be >= 1, got {inner_steps!r}")
     theta, h = state.theta, state.h
     if isinstance(subposterior, tuple):
         mu, cov = subposterior
@@ -118,12 +118,14 @@ def weierstrass_run(subposteriors: Sequence, theta0, h, T: int,
     """
     if not isinstance(sync_every, numbers.Integral) or sync_every < 1:
         raise ValueError(f"sync_every must be an integer >= 1, got {sync_every!r}")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
     subs = [f if isinstance(f, tuple) else _RoundMemo(f) for f in subposteriors]
     J = len(subs)
     if cluster is None:
         cluster = SimCluster(J)
     if cluster.n_workers != J:
-        raise ValueError("need one worker per shard")
+        raise ValueError(f"need one worker per shard, got {cluster.n_workers} for {J} shards")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     state = WeierstrassState(theta=theta0.copy(),
                              xi=np.tile(theta0, (J, 1)), h=h)

@@ -1,0 +1,97 @@
+"""Argument errors name the value, or both counts, that caused them, after
+the message's fixed wording."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from bigbayes.consensus import ShardPlan, sample_subposteriors_on_cluster
+from bigbayes.firefly import (init_firefly, resample_brightness, run_flymc,
+                              scaled_gaussian_bound)
+from bigbayes.mcmc import ChainState, gaussian_random_walk, run_chain
+from bigbayes.models import gaussian_iid_target
+from bigbayes.prefetch import prefetch_run
+from bigbayes.rng import KeyedRng
+from bigbayes.sgld import MinibatchPlan, StepSchedule, run_sgld
+from bigbayes.simcluster import SimCluster
+from bigbayes.weierstrass import WeierstrassState, weierstrass_run, xi_update
+
+XS = np.linspace(-1.0, 1.0, 6)
+TARGET = gaussian_iid_target(XS)
+BOUND = scaled_gaussian_bound(XS, 0.1)
+PROP = gaussian_random_walk(0.3)
+SUBS = [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)]
+
+
+def _unread(idx):
+    raise AssertionError("read the data before checking the arguments")
+
+
+def _weier_state(h=1.0):
+    return WeierstrassState(theta=np.zeros(1), xi=np.zeros((3, 1)), h=h)
+
+
+CASES = {
+    "rho_z resample": (
+        lambda: resample_brightness(init_firefly(TARGET, BOUND, np.zeros(1),
+                                                 np.random.default_rng(0), init="dark"),
+                                    TARGET, BOUND, 0.0, np.random.default_rng(0)),
+        "rho_z must lie in (0, 1]", ["0.0"]),
+    # a bound that fails on any read shows the check comes before init_firefly
+    "rho_z run_flymc T=0": (
+        lambda: run_flymc(TARGET, replace(BOUND, dark_stat_sum=_unread), PROP, np.zeros(1),
+                          0, 5.0, KeyedRng(0)),
+        "rho_z must lie in (0, 1]", ["5.0"]),
+    "rho_z run_flymc T=3": (
+        lambda: run_flymc(TARGET, replace(BOUND, dark_stat_sum=_unread), PROP, np.zeros(1),
+                          3, 1.5, KeyedRng(0)),
+        "rho_z must lie in (0, 1]", ["1.5"]),
+    "bandwidths": (lambda: _weier_state(h=np.array([-0.25])),
+                   "bandwidths must be positive", ["-0.25"]),
+    "inner_steps": (lambda: xi_update(_weier_state(), 0, SUBS[0], 0, np.random.default_rng(0)),
+                    "inner_steps must be >= 1", ["0"]),
+    "workers": (lambda: SimCluster(0), "need at least one worker", ["0"]),
+    "prefetch cluster": (
+        lambda: prefetch_run(TARGET, PROP, np.zeros(1), 5, 3, KeyedRng(0),
+                             cluster=SimCluster(2)),
+        "cluster must have J workers", ["2", "3"]),
+    "weierstrass cluster": (
+        lambda: weierstrass_run(SUBS, np.zeros(1), 1.0, 5, rng=KeyedRng(0),
+                                cluster=SimCluster(2)),
+        "need one worker per shard", ["2", "3"]),
+    "consensus cluster": (
+        lambda: sample_subposteriors_on_cluster(TARGET, ShardPlan.contiguous(6, 3), None,
+                                                SimCluster(2)),
+        "need one worker per shard", ["2", "3"]),
+    "schedule alpha": (lambda: StepSchedule(alpha=-0.5), "alpha and beta must be positive",
+                       ["-0.5"]),
+    "schedule beta": (lambda: StepSchedule(beta=0.0), "alpha and beta must be positive",
+                      ["0.0"]),
+    "schedule gamma": (lambda: StepSchedule(gamma=0.25),
+                       "gamma must lie in (0.5, 1] for a valid schedule", ["0.25"]),
+    "schedule floor": (lambda: StepSchedule(floor=-0.125), "floor must be nonnegative",
+                       ["-0.125"]),
+    "T run_chain": (lambda: run_chain(None, ChainState(np.zeros(1)), -2, KeyedRng(0)),
+                    "T must be >= 0", ["-2"]),
+    "T prefetch_run": (lambda: prefetch_run(TARGET, PROP, np.zeros(1), -2, 2, KeyedRng(0)),
+                       "T must be >= 0", ["-2"]),
+    "T weierstrass_run": (lambda: weierstrass_run(SUBS, np.zeros(1), 1.0, -2, rng=KeyedRng(0)),
+                          "T must be >= 0", ["-2"]),
+    "T run_sgld": (
+        lambda: run_sgld(TARGET, np.zeros(1), -2, MinibatchPlan(6, 2, KeyedRng(0)),
+                         StepSchedule(), KeyedRng(0)),
+        "T must be >= 0", ["-2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_error_names_the_bad_value(case):
+    call, prefix, values = CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(prefix), message
+    rest = message[len(prefix):]
+    for value in values:
+        assert value in rest, message

@@ -251,16 +251,16 @@ def test_incremental_dark_stats_match_recompute_logistic():
     state.log_joint_aug = flymc_log_joint(state, target, bound)
     flips = 0
     for _ in range(30):
-        before = state.z
+        before = state.bright
         state, _ = resample_brightness(state, target, bound, 0.2, rng)
-        flips += int(np.count_nonzero(before != state.z))
+        flips += len(np.setxor1d(before, state.bright))
         assert check_coherence(state, target, bound)
     assert flips > 0
 
 
 def test_resample_never_changes_indicators_in_place():
-    # a state's bright indices are computed once from z, so z must stay put;
-    # a resample that flips nothing hands on the same arrays
+    # bright is never changed in place: a resample that flips nothing hands
+    # on the same array, and one that flips makes a new one
     rng = np.random.default_rng(34)
     n, d = 200, 3
     X = rng.standard_normal((n, d))
@@ -271,20 +271,27 @@ def test_resample_never_changes_indicators_in_place():
     kept = flipped = 0
     lit = None
     for _ in range(40):
-        before, z_before = state, state.z.copy()
+        before, bright_before = state, state.bright.copy()
         state, _ = resample_brightness(state, target, bound, 0.05, rng)
-        assert np.array_equal(before.z, z_before)
-        assert np.array_equal(state.bright, np.flatnonzero(state.z))
-        if np.array_equal(state.z, z_before):
-            assert state.z is before.z and state.bright is before.bright
+        assert np.array_equal(before.bright, bright_before)
+        assert check_coherence(state, target, bound)
+        if np.array_equal(state.bright, bright_before):
+            assert state.bright is before.bright
             kept += 1
         else:
+            assert state.bright is not before.bright
             flipped += 1
         if state.bright.size:
             lit = state
     assert kept and flipped and lit is not None
-    lit.z[lit.bright[:1]] = False
-    with pytest.raises(AssertionError, match="bright index cache incoherent"):
+    # well-formed but wrong: as many indices, all of them dark
+    saved = lit.bright.copy()
+    lit.bright[:] = np.delete(np.arange(n), saved)[:saved.size]
+    with pytest.raises(AssertionError, match="dark statistic cache incoherent"):
+        check_coherence(lit, target, bound)
+    lit.bright[:] = saved
+    lit.bright[-1] = n
+    with pytest.raises(AssertionError, match="bright indices not sorted, distinct and in"):
         check_coherence(lit, target, bound)
 
 
@@ -352,14 +359,14 @@ def test_thinned_resample_has_the_subset_gibbs_law(gap):
     p = _brightness_probs(np.arange(n), theta, target, bound)
     assert max(p) > 0.2
     z = np.array([True, False, False, True, False])
-    state = FireflyState(theta, z, bound.dark_stat_sum(np.flatnonzero(~z)))
+    state = FireflyState(theta, np.flatnonzero(z), bound.dark_stat_sum(np.flatnonzero(~z)))
     law = _subset_gibbs_law(z.tolist(), p, math.ceil(rho_z * n))
     draws = 40_000
     gen = np.random.default_rng(41)
     counts = {}
     for _ in range(draws):
         new, _ = resample_brightness(state, target, bound, rho_z, gen)
-        key = tuple(new.z.tolist())
+        key = tuple(np.isin(np.arange(n), new.bright).tolist())
         counts[key] = counts.get(key, 0) + 1
     assert set(counts) <= set(law)
     for key, prob in law.items():
@@ -369,7 +376,8 @@ def test_thinned_resample_has_the_subset_gibbs_law(gap):
 
 def test_resample_reads_and_allocates_little_at_a_million():
     # k = 1e4 of N = 1e6 are resampled, but with pbar = 1 - exp(-1e-4) about
-    # one dark member is a candidate: the resample reads no k-sized index set
+    # one dark member is a candidate: the resample reads no k-sized index set,
+    # and one that flips allocates O(bright), not an N-sized mask
     N = 1_000_000
     xs = np.random.default_rng(42).normal(1.0, 1.0, N)
     target = gaussian_iid_target(xs)
@@ -383,7 +391,7 @@ def test_resample_reads_and_allocates_little_at_a_million():
 
     target.log_lik_terms = counting
     state = init_firefly(target, bound, np.array([1.0]), np.random.default_rng(0), init="dark")
-    unflipped = 0
+    unflipped = flipped = 0
     for seed in range(8):
         read[0] = 0
         gen = np.random.default_rng(seed)
@@ -394,10 +402,12 @@ def test_resample_reads_and_allocates_little_at_a_million():
         finally:
             tracemalloc.stop()
         assert read[0] == n_read < 50
-        if new.z is state.z:
+        if new.bright is state.bright:
             unflipped += 1
-            assert peak < 16 * 1024, f"peak {peak} bytes"
-    assert unflipped
+        else:
+            flipped += 1
+        assert peak < 16 * 1024, f"peak {peak} bytes"
+    assert unflipped and flipped
 
 
 # -- augmented joint -----------------------------------------------------------
@@ -412,7 +422,7 @@ def test_all_dark_joint_uses_collapse_only():
         return orig(idx, th)
 
     target.log_lik_terms = counting
-    state = FireflyState(theta=np.array([0.3]), z=np.zeros(25, bool),
+    state = FireflyState(theta=np.array([0.3]), bright=np.zeros(0, np.intp),
                          dark_stat_sum=bound.dark_stat_sum(np.arange(25)))
     val = flymc_log_joint(state, target, bound)
     assert calls["n"] == 0
@@ -424,7 +434,7 @@ def test_all_dark_joint_uses_collapse_only():
 def test_all_bright_joint():
     _, target, bound = gaussian_setup(n=12, delta=0.4)
     th = np.array([0.1])
-    state = FireflyState(theta=th, z=np.ones(12, bool), dark_stat_sum=np.zeros(3))
+    state = FireflyState(theta=th, bright=np.arange(12), dark_stat_sum=np.zeros(3))
     idx = np.arange(12)
     log_l = target.log_lik_terms(idx, th)
     log_b = bound.log_bound_batch(idx, th)
@@ -444,7 +454,7 @@ def test_z_marginalization_recovers_exact_joint():
         vals = []
         for mask in range(2**n):
             z = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-            state = FireflyState(theta=th, z=z,
+            state = FireflyState(theta=th, bright=np.flatnonzero(z),
                                  dark_stat_sum=bound.dark_stat_sum(np.flatnonzero(~z)))
             vals.append(flymc_log_joint(state, target, bound))
         ratios.append(logsumexp(vals) - target.log_joint(th))
@@ -497,7 +507,7 @@ def test_cached_augmented_joint_is_only_an_optimisation(monkeypatch):
 
     def counting(state, *args):
         new, k = resample(state, *args)
-        flips.append(new.z is not state.z)
+        flips.append(new.bright is not state.bright)
         return new, k
 
     def uncached(state, *args):
@@ -590,6 +600,32 @@ def test_coherence_after_random_interleaving():
         assert check_coherence(state, target, bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       delta=st.one_of(st.none(), st.floats(0.0, 3.0)), rho_z=st.floats(0.01, 1.0),
+       steps=st.integers(1, 25))
+def test_random_flymc_steps_stay_coherent(seed, n, delta, rho_z, steps):
+    # delta None draws a logistic target with its tangent bound off the MAP
+    rng = np.random.default_rng(seed)
+    if delta is None:
+        X = rng.standard_normal((n, 2))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        target = logistic_regression_target(X, y)
+        bound = logistic_quadratic_bound(X, y, 0.5 * rng.standard_normal(2))
+        theta0 = rng.standard_normal(2)
+    else:
+        _, target, bound = gaussian_setup(n=n, delta=delta, seed=seed)
+        theta0 = rng.standard_normal(1)
+    prop = gaussian_random_walk(0.5)
+    state = init_firefly(target, bound, theta0, rng)
+    assert check_coherence(state, target, bound)
+    for _ in range(steps):
+        b = state.bright_count
+        state, _, n_ev = flymc_step(state, target, bound, prop, rho_z, rng)
+        assert check_coherence(state, target, bound)
+        assert b <= n_ev <= b + math.ceil(rho_z * n)
+
+
 def test_run_flymc_steps_are_flymc_step_on_the_step_streams():
     _, target, bound = gaussian_setup(n=80, delta=0.25)
     prop = gaussian_random_walk(0.3)
@@ -599,16 +635,16 @@ def test_run_flymc_steps_are_flymc_step_on_the_step_streams():
     state = init_firefly(target, bound, np.zeros(1), key.derive("init"))
     flipped = False
     for t in range(T):
-        before = state.z
+        before = state.bright
         state, accepted, n_ev = flymc_step(state, target, bound, prop, 0.2,
                                            key.derive("step", t))
-        flipped |= state.z is not before
+        flipped |= state.bright is not before
         assert np.array_equal(state.theta, buf.draws[t])
         assert accepted == buf.accept_flags[t]
         assert n_ev == info["likelihood_evals"][t]
         assert state.bright_count == info["bright_counts"][t]
     assert flipped and 0.0 < buf.acceptance_rate < 1.0
-    assert np.array_equal(state.z, info["final_state"].z)
+    assert np.array_equal(state.bright, info["final_state"].bright)
 
 
 def test_infinite_proposal_density_rejects_as_in_plain_mh():

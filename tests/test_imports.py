@@ -3,8 +3,8 @@ every name it exports is defined or imported in it. Only ``simcluster``
 sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 ``subsample`` use the parts of the MH transition, data orders are drawn
 only by ``rng``'s lazy permutation and tested without numpy's hashing
-calls, FlyMC and the prefetch predictor draw nothing per datum, the
-predictor reads gradients only through ``subsample``'s one estimator, and
+calls, FlyMC and the prefetch predictor draw nothing per datum, FlyMC
+allocates nothing per datum outside its debug check, the predictor reads gradients only through ``subsample``'s one estimator, and
 every private module-level name is read somewhere."""
 
 import ast
@@ -234,6 +234,50 @@ def test_firefly_draws_nothing_per_datum():
     # would make every step O(N) again
     path = Path(bigbayes.__file__).parent / "firefly.py"
     assert data_sized_draws(path.read_text()) == [], "firefly.py draws N variates"
+
+
+ALLOCATORS = {"zeros", "ones", "empty", "full"}
+
+
+def data_sized_allocations(source: str):
+    """(line, enclosing top-level def or class, or None) of every call in
+    ``source`` to a function or method named ``zeros``, ``ones``, ``empty``
+    or ``full`` whose shape, passed first or as ``shape=``, mentions ``N`` or
+    ``n_data``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ALLOCATORS:
+                continue
+            shapes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "shape"]
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for arg in shapes for n in ast.walk(arg)}
+            if names & DATA_SIZES:
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_data_sized_allocation_checker_flags_planted_calls():
+    src = ("import numpy as np\nfrom numpy import zeros\nZ = np.ones(3)\n"
+           "def f(target, N, k):\n    a = np.zeros(target.n_data, dtype=bool)\n"
+           "    b = np.empty((N, 2))\n    c = zeros(shape=N - 1)\n    d = np.full(k, N)\n"
+           "    return np.zeros(k), np.arange(N)\n"
+           "class C:\n    def g(self, N):\n        return np.ones(N)\n")
+    assert data_sized_allocations(src) == [(5, "f"), (6, "f"), (7, "f"), (12, "C")]
+
+
+def test_firefly_allocates_nothing_per_datum():
+    # a state holds its bright indices only, so a step and a flip are
+    # O(bright); only the debug check rebuilds the dark complement
+    path = Path(bigbayes.__file__).parent / "firefly.py"
+    found = [(line, owner) for line, owner in data_sized_allocations(path.read_text())
+             if owner != "check_coherence"]
+    assert found == [], f"firefly.py allocates N-sized arrays at {found}"
 
 
 PREFETCH = Path(bigbayes.__file__).parent / "prefetch.py"
