@@ -54,6 +54,8 @@ class ShardPlan:
 
     @classmethod
     def contiguous(cls, n_data: int, J: int) -> "ShardPlan":
+        if J < 1:
+            raise ValueError(f"J must be >= 1, got {J!r}")
         return cls(n_data, tuple(np.array_split(np.arange(n_data), J)))
 
     @property
@@ -207,6 +209,8 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
     as ``Generator.choice(T, p=w)`` draws it, by inverting the normalized
     cumulative weights at one ``rng.random()``, without its validation.
     """
+    if n_out < 0:
+        raise ValueError(f"n_out must be >= 0, got {n_out!r}")
     arr = _as_draws_array(draws)
     J, T, d = arr.shape
     if bandwidth is None:

@@ -89,7 +89,7 @@ def scaled_gaussian_bound(xs, delta: float, lik_var: float = 1.0) -> LikelihoodB
 
     def dark_stat_sum(idx):
         x = _take(xs, _rows(idx, len(xs)))
-        return np.array([x.size, np.sum(x), np.sum(x**2)], dtype=float)
+        return np.array([x.size, np.sum(x), x @ x], dtype=float)
 
     def collapsed(theta, s):
         cnt, s1, s2 = s
@@ -321,6 +321,8 @@ def run_flymc(target, bound, proposal, theta0, T: int, rho_z: float,
     """
     if not 0.0 < rho_z <= 1.0:  # before init_firefly reads the data
         raise ValueError(f"rho_z must lie in (0, 1], got {rho_z!r}")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
 
     def step(state, t, gen):
         state, accepted, n_ev = flymc_step(state, target, bound, proposal, rho_z, gen)

@@ -218,6 +218,8 @@ def gibbs_sweep(conditionals: Sequence[Callable], state, rng: np.random.Generato
 
 def run_gibbs(conditionals, state0, T: int, rng: np.random.Generator,
               scan: str = "systematic") -> np.ndarray:
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T!r}")
     state = np.array(state0, copy=True)
     out = np.empty((T, len(state)))
     for t in range(T):

@@ -15,12 +15,9 @@ key words and a shared read-only zero counter, so no call converts counter 0
 from a Python int.
 
 ``_LazyPermutation`` draws a uniform random order of ``range(n)`` from one
-such generator, in doubling blocks, only as far as it is read. Each block
-is a uniform random subset of the indices not yet drawn. An ordered one
-(SGLD's epochs) shuffles each block, so it reads as a prefix of
-``permutation(n)``. One drawn for a reader that uses each block only as a
-set (a subsampling test's batches) keeps each block as a sorted set and
-skips those shuffles.
+such generator, in shuffled doubling blocks, only as far as it is read, so
+every prefix it has drawn is distributed as the same prefix of
+``permutation(n)``. SGLD's epochs and subsampling MH's tests both read it.
 """
 
 import bisect
@@ -158,77 +155,42 @@ class KeyedRng:
         return f"KeyedRng(seed={self.seed}, base={self._base!r})"
 
 
-def _subset_mask(gen: np.random.Generator, among: np.ndarray, k: int) -> np.ndarray:
-    """A uniform random k-subset of the True entries of the boolean array
-    ``among``, as a boolean array; 0 < k < ``among.sum()``.
-
-    Each entry is kept when its random byte falls below 256 k / u (u the
-    entries of ``among``), which keeps about k; then a uniform random
-    choice of the surplus is dropped, or of the shortfall added. Both steps
-    treat the entries alike and the result always has k, so it is uniform
-    over the k-subsets. It costs a random byte a position, where a
-    rejection draw of k costs far more at a large k / u.
-    """
-    below = (256 * k) // np.count_nonzero(among)
-    pick = np.frombuffer(gen.bytes(len(among)), dtype=np.uint8) < below
-    pick &= among
-    c = int(np.count_nonzero(pick))
-    if c != k:
-        fix = np.flatnonzero(pick if c > k else among & ~pick)
-        pick[fix[gen.choice(len(fix), abs(c - k), replace=False)]] = c < k
-    return pick
-
-
 class _LazyPermutation:
     """A uniform random order of ``range(n)``, drawn from ``gen`` only as far
     as it has been read.
 
     ``read(start, stop)`` returns the entries ``start:stop`` of the order
-    (``stop`` capped at n), drawing blocks as needed. A read that lies
-    inside one block is a view of it, which later reads may reorder
-    (below): copy it to keep it.
+    (``stop`` capped at n), drawing blocks as needed. No read reorders what
+    an earlier read returned. A read that lies inside one block is a view
+    of it.
 
     Blocks: ``block`` indices, then doubling. A block is a uniform random
-    subset of the indices not yet drawn. Below the eager threshold (more
-    than ``_EAGER_FACTOR * (block + 1024)`` indices, and more than a block,
-    unread) it is drawn by rejection: draw k candidates with
-    ``gen.integers``, sort them, drop the repeats and those already drawn
-    (an n-byte mask, made at the second block; the first block is checked
-    only against itself) and redraw only the shortfall. Every step treats
-    the undrawn indices alike, so the kept set is a uniform subset of its
-    size and no trimming is needed. Blocks are kept apart, so drawing one
-    copies none of those before it.
-
-    Ordered (the default): each block is shuffled, so every prefix is
-    distributed as the same prefix of ``gen.permutation(n)``. At the eager
+    subset of the indices not yet drawn, shuffled, so every prefix is
+    distributed as the same prefix of ``gen.permutation(n)``. Below the
+    eager threshold (more than ``_EAGER_FACTOR * (block + 1024)`` indices,
+    and more than a block, unread) it is drawn by rejection: draw k
+    candidates with ``gen.integers``, sort them, drop the repeats and those
+    already drawn (an n-byte mask, made at the second block; the first
+    block is checked only against itself) and redraw only the shortfall.
+    Every step treats the undrawn indices alike, so the kept set is a
+    uniform subset of its size and no trimming is needed. At the eager
     threshold all the unread indices are shuffled at once, as the last
-    block. Block sizes never depend on the reads asked for, so the order is
-    a function of ``gen``'s stream alone, whatever is read in whatever
-    order.
-
-    ``ordered=False``: a reader that uses each block only as a set skips
-    the shuffles. A block is held as a sorted set; at the eager threshold
-    it is selected from the unread indices by ``_subset_mask``, and the
-    block that exhausts them is all of them. A read that starts or
-    ends inside a block still held as a set first shuffles that block in
-    place, so every read is a uniform subset of the indices outside the
-    reads before it. The shuffle only permutes entries within the block,
-    so what an earlier read returned keeps its set. The stream then also
-    depends on where the reads started and ended.
+    block. Blocks are kept apart, so drawing one copies none of those
+    before it. Block sizes never depend on the reads asked for, so the
+    order is a function of ``gen``'s stream alone, whatever is read in
+    whatever order.
 
     Small n: where ``n <= _EAGER_FACTOR * (block + 1024)`` the first and
-    only draw is ``gen.permutation(n)``, bit for bit the eager permutation,
-    in either mode.
+    only draw is ``gen.permutation(n)``, bit for bit the eager permutation.
     """
 
-    __slots__ = ("_n", "_gen", "_block", "_ordered", "_mask", "_blocks", "_ends", "_held")
+    __slots__ = ("_n", "_gen", "_block", "_mask", "_blocks", "_ends")
 
-    def __init__(self, n: int, block: int, gen: np.random.Generator, ordered: bool = True):
-        self._n, self._block, self._gen, self._ordered = n, block, gen, ordered
+    def __init__(self, n: int, block: int, gen: np.random.Generator):
+        self._n, self._block, self._gen = n, block, gen
         self._mask = None  # marks the drawn indices, from the second lazy block on
         self._blocks = []  # the drawn blocks, in order
         self._ends = []    # where each block ends in the order
-        self._held = []    # whether each block is still held as a sorted set
 
     def read(self, start: int, stop: int) -> np.ndarray:
         stop = min(stop, self._n)
@@ -239,10 +201,6 @@ class _LazyPermutation:
             self._draw_block()
         first = bisect.bisect_right(ends, start)
         last = first if stop <= ends[first] else bisect.bisect_left(ends, stop, first)
-        for b, cut in ((first, start), (last, stop)):
-            if self._held[b] and (ends[b - 1] if b else 0) < cut < ends[b]:
-                self._gen.shuffle(self._blocks[b])
-                self._held[b] = False
         lo = ends[first - 1] if first else 0
         if first == last:
             return self._blocks[first][start - lo:stop - lo]
@@ -252,28 +210,17 @@ class _LazyPermutation:
     def _draw_block(self):
         gen, n, k = self._gen, self._n, self._block
         start = self._ends[-1] if self._ends else 0
-        unread = n - start
         self._block = 2 * k
-        held = not self._ordered
-        if unread > max(k, _EAGER_FACTOR * (k + 1024)):
+        if n - start > max(k, _EAGER_FACTOR * (k + 1024)):
             block = self._reject(k)
-            if held:
-                block.sort(kind="stable")  # merges the sorted runs of _reject
-            else:
-                gen.shuffle(block)
+            gen.shuffle(block)
         elif not start:
-            block, held = gen.permutation(n), False
+            block = gen.permutation(n)
         else:
-            rest = ~self._drawn_mask()
-            if held and k < unread:
-                rest = _subset_mask(gen, rest, k)
-                self._mask |= rest
-            block = np.flatnonzero(rest)
-            if not held:
-                gen.shuffle(block)
+            block = np.flatnonzero(~self._drawn_mask())
+            gen.shuffle(block)
         self._blocks.append(block)
         self._ends.append(start + len(block))
-        self._held.append(held)
 
     def _drawn_mask(self) -> np.ndarray:
         if self._mask is None:

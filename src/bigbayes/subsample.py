@@ -1,18 +1,16 @@
 """Approximate Metropolis-Hastings with adaptive data-subsampling stopping rules.
 
 Each test reads likelihood terms in batches that are consecutive slices of
-its own lazily drawn order of the data (``rng._LazyPermutation`` with
-``ordered=False``: blocks of ``batch``, then doubling, each a sorted
-uniform random subset of the indices not yet read), until either a
+its own lazily drawn order of the data (``rng._LazyPermutation``, the
+shuffled order SGLD's epochs read: blocks of ``batch``, then doubling, so
+every prefix is a uniform sample without replacement), until either a
 t-statistic test or a concentration inequality (Hoeffding without
 replacement, or empirical Bernstein) says the subsampled accept/reject
 decision matches the full-data decision with high probability. Exhausting
-the data always recovers the exact MH test. A test reads each batch only
-as a set, so the order is not shuffled within a block unless a batch ends
-inside one. No index is read twice in one test by construction: the
-accumulator's read count is its position in the order, so a step does
-O(read) index work. Where N <= 4 (batch + 1024) the first read draws the
-whole ``permutation(N)``.
+the data always recovers the exact MH test. No index is read twice in one
+test by construction: the accumulator's read count is its position in the
+order, so a step does O(read) index work. Where N <= 4 (batch + 1024) the
+first read draws the whole ``permutation(N)``.
 
 Every rule averages control-variate residuals, not raw log-likelihood
 ratios: the difference estimator of Bardenet, Doucet & Holmes, "On Markov
@@ -127,9 +125,8 @@ class LLRAccumulator:
     """Running first and second raw moments of the log-likelihood ratios at
     the first ``m`` entries of ``order``, the test's index order.
 
-    ``order`` only grows, and an entry once read keeps its block (a block
-    held as a set may later be shuffled within itself), so accumulators that
-    share it may branch: each reads on from its own ``m``.
+    ``order`` only grows, and no read reorders an entry once read, so
+    accumulators that share it may branch: each reads on from its own ``m``.
     """
 
     m: int = 0
@@ -359,7 +356,7 @@ def _run_stopping_rule(target, theta, theta_new, psi, cfg, rng):
     Returns (accept, m_used).
     """
     N = target.n_data
-    acc = LLRAccumulator(order=_LazyPermutation(N, cfg.batch, rng, ordered=False))
+    acc = LLRAccumulator(order=_LazyPermutation(N, cfg.batch, rng))
     c_value = None
     min_m = 1 if cfg.rule == "hoeffding" else 2
     batch = cfg.batch

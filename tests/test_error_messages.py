@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bigbayes.consensus import ShardPlan, sample_subposteriors_on_cluster
+from bigbayes.consensus import ShardPlan, consensus_kde, sample_subposteriors_on_cluster
 from bigbayes.firefly import (init_firefly, resample_brightness, run_flymc,
                               scaled_gaussian_bound)
-from bigbayes.mcmc import ChainState, gaussian_random_walk, run_chain
+from bigbayes.mcmc import ChainState, gaussian_random_walk, run_chain, run_gibbs
 from bigbayes.models import gaussian_iid_target
 from bigbayes.prefetch import prefetch_run
 from bigbayes.rng import KeyedRng
@@ -78,6 +78,16 @@ CASES = {
                        "T must be >= 0", ["-2"]),
     "T weierstrass_run": (lambda: weierstrass_run(SUBS, np.zeros(1), 1.0, -2, rng=KeyedRng(0)),
                           "T must be >= 0", ["-2"]),
+    "T run_flymc": (
+        lambda: run_flymc(TARGET, replace(BOUND, dark_stat_sum=_unread), PROP, np.zeros(1),
+                          -1, 0.5, KeyedRng(0)),
+        "T must be >= 0", ["-1"]),
+    "T run_gibbs": (lambda: run_gibbs([_unread], np.zeros(1), -1, np.random.default_rng(0)),
+                    "T must be >= 0", ["-1"]),
+    "n_out consensus_kde": (
+        lambda: consensus_kde(np.zeros((2, 3, 1)), 1.0, n_out=-1, rng=np.random.default_rng(0)),
+        "n_out must be >= 0", ["-1"]),
+    "J contiguous": (lambda: ShardPlan.contiguous(10, 0), "J must be >= 1", ["0"]),
     "T run_sgld": (
         lambda: run_sgld(TARGET, np.zeros(1), -2, MinibatchPlan(6, 2, KeyedRng(0)),
                          StepSchedule(), KeyedRng(0)),

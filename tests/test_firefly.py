@@ -318,6 +318,21 @@ def test_init_firefly_never_holds_per_datum_stat_rows():
     assert peak < limit, f"peak {peak} bytes against {limit:.0f}"
 
 
+def test_dark_init_at_a_million_data_allocates_under_1_mb():
+    # the Gaussian bound's dark statistics read the data as a view: an
+    # N-float temporary alone would be 8 MB
+    xs, target, bound = gaussian_setup(n=10**6)
+    tracemalloc.start()
+    try:
+        state = init_firefly(target, bound, np.zeros(1), np.random.default_rng(34), init="dark")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.bright_count == 0
+    assert np.allclose(state.dark_stat_sum, [xs.size, xs.sum(), np.sum(xs**2)])
+    assert peak < 1_000_000, f"peak {peak} bytes"
+
+
 def test_rho_z_out_of_range():
     _, target, bound = gaussian_setup()
     state = init_firefly(target, bound, np.zeros(1), np.random.default_rng(0))

@@ -4,8 +4,10 @@ sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 ``subsample`` use the parts of the MH transition, data orders are drawn
 only by ``rng``'s lazy permutation and tested without numpy's hashing
 calls, FlyMC and the prefetch predictor draw nothing per datum, FlyMC
-allocates nothing per datum outside its debug check, the predictor reads gradients only through ``subsample``'s one estimator, and
-every private module-level name is read somewhere."""
+allocates nothing per datum outside its debug check, the predictor reads
+gradients only through ``subsample``'s one estimator, and every
+module-level name that its module does not export is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -168,8 +170,8 @@ def test_only_rng_draws_data_permutations(path):
 
 
 HASHING_CALLS = {"isin", "unique"}
-# index orders are sorted arrays: a membership test is a searchsorted and a
-# set of distinct values a sort, both far cheaper than numpy's hashing calls
+# index work here sorts: a rejection draw finds repeats by a sort and drawn
+# indices by a mask or a searchsorted, far cheaper than numpy's hashing calls
 SORTED_ORDER_MODULES = ["rng.py", "subsample.py", "sgld.py"]
 
 
@@ -321,10 +323,11 @@ def test_prefetch_estimates_only_through_the_subsample_proxy():
 
 
 def dead_private_names(sources: dict):
-    """(module, line, name) of every private module-level name (one leading
-    underscore) in ``sources``, a dict of module name to source, that no
-    statement of any module reads outside the statement that binds it."""
-    defs, reads = [], []
+    """(module, line, name) of every private module-level name in
+    ``sources``, a dict of module name to source, that no statement of any
+    module reads outside the statement that binds it. A name is private
+    unless it is a dunder or its module exports it in ``__all__``."""
+    defs, reads, exported = [], [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -332,6 +335,8 @@ def dead_private_names(sources: dict):
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                if "__all__" in bound:
+                    exported.update((module, name) for name in ast.literal_eval(stmt.value))
             else:
                 bound = []
             names = set()
@@ -344,18 +349,34 @@ def dead_private_names(sources: dict):
                     names.update(alias.name for alias in node.names)
             reads.append(names)
             defs += [(module, stmt.lineno, name, len(reads) - 1) for name in bound
-                     if name.startswith("_") and not name.startswith("__")]
+                     if not name.startswith("__")]
     return [(module, line, name) for module, line, name, own in defs
-            if not any(name in names for i, names in enumerate(reads) if i != own)]
+            if (module, name) not in exported
+            and not any(name in names for i, names in enumerate(reads) if i != own)]
 
 
 def test_dead_private_checker_flags_unread_names():
     sources = {
-        "a.py": ("_K, _UNUSED = 1, 2\n__slots__ = ()\ndef _helper():\n    return _K\n"
-                 "def _recursive(n):\n    return _recursive(n - 1)\nclass _Used:\n    pass\n"),
-        "b.py": "from .a import _helper\ndef f(a):\n    return a._Used\n",
+        "a.py": ("__all__ = ['f', 'g']\n_K, _UNUSED = 1, 2\n__slots__ = ()\n"
+                 "def _helper():\n    return _K\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\nclass _Used:\n    pass\n"
+                 "def f():\n    pass\nLIMIT = 3\ndef g():\n    return f()\n"),
+        "b.py": "from .a import _helper\ndef h(a):\n    return a._Used\n",
     }
-    assert dead_private_names(sources) == [("a.py", 1, "_UNUSED"), ("a.py", 5, "_recursive")]
+    # g is exported: an entry point that nothing in the package reads is not dead
+    assert dead_private_names(sources) == [("a.py", 2, "_UNUSED"), ("a.py", 6, "_recursive"),
+                                           ("a.py", 12, "LIMIT"), ("b.py", 2, "h")]
+
+
+def test_dead_private_checker_flags_helpers_left_behind_in_rng():
+    # a helper whose only caller is gone, and an unexported constant nothing reads
+    sources = {p.name: p.read_text() for p in MODULES}
+    source = sources["rng.py"]
+    lines = source.count("\n")
+    sources["rng.py"] = (source + "\n\ndef _subset_mask(gen, among, k):\n    return among\n"
+                         "\n\nBLOCK_FLOOR = 4\n")
+    assert dead_private_names(sources) == [("rng.py", lines + 3, "_subset_mask"),
+                                           ("rng.py", lines + 7, "BLOCK_FLOOR")]
 
 
 def test_every_private_name_is_read():

@@ -544,11 +544,11 @@ def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
     got = np.concatenate(read)
     assert got.size == m < LAZY_N
     assert np.unique(got).size == m
-    order = _LazyPermutation(LAZY_N, 10, after_proposal(prop, theta0, 21, t), ordered=False)
+    order = _LazyPermutation(LAZY_N, 10, after_proposal(prop, theta0, 21, t))
     start = 0
-    for batch in read:  # each batch is read as a set
+    for batch in read:
         stop = start + len(batch)
-        assert np.array_equal(np.sort(batch), np.sort(order.read(start, stop)))
+        assert np.array_equal(batch, order.read(start, stop))
         start = stop
 
 
@@ -561,15 +561,15 @@ def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
     theta0 = np.array([0.3])
     _, (m,) = run_adaptive_mh(target, prop, theta0, 1, cfg, KeyedRng(22))
     gen = after_proposal(prop, theta0, 22, 0)
-    order = _LazyPermutation(LAZY_N, 10, gen, ordered=False)
+    order = _LazyPermutation(LAZY_N, 10, gen)
     first = order.read(0, 10)
     pilot = gen.choice(LAZY_N, subsample.PILOT_SIZE, replace=False)
     assert m > 10
     # one read per batch and one for the pilot, each for theta' and theta together
-    assert np.array_equal(np.sort(read[0]), np.sort(first))
+    assert np.array_equal(read[0], first)
     assert np.array_equal(read[1], pilot)
     rest = np.concatenate(read[2:])
-    assert np.array_equal(np.sort(rest), np.sort(order.read(10, m)))
+    assert np.array_equal(rest, order.read(10, m))
     assert np.unique(np.concatenate([first, rest])).size == m
 
 
@@ -620,15 +620,14 @@ def test_first_batch_at_a_million_data_allocates_no_data_sized_mask():
 
 def test_set_batches_are_uniform_subsets(monkeypatch):
     # every block lazy until the last at n = 6: the first batch of 2 is a
-    # rejection draw, uniform over the 15 pairs; the second ends inside the
-    # last block (the 4 left, held as a set), which is shuffled, so it is
-    # uniform over the 6 pairs of those 4
+    # rejection draw, uniform over the 15 pairs; the second is the head of
+    # the last block (the 4 left, shuffled), uniform over the 6 pairs of those 4
     monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
     n, seeds = 6, 6000
     pairs = list(itertools.combinations(range(n), 2))
     counts = {(a, b): 0 for a in pairs for b in pairs if not set(a) & set(b)}
     for seed in range(seeds):
-        order = _LazyPermutation(n, 2, np.random.default_rng(seed), ordered=False)
+        order = _LazyPermutation(n, 2, np.random.default_rng(seed))
         first = tuple(sorted(order.read(0, 2).tolist()))
         second = tuple(sorted(order.read(2, 4).tolist()))
         counts[first, second] += 1
@@ -637,60 +636,33 @@ def test_set_batches_are_uniform_subsets(monkeypatch):
 
 
 def test_a_read_inside_a_set_block_keeps_what_was_read(monkeypatch):
+    # blocks 0..4, 4..12 and 12..28 are lazy, 28..50 eager; no later read,
+    # from inside a block or across blocks, changes what an earlier one returned
     monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
-    order = _LazyPermutation(50, 4, np.random.default_rng(29), ordered=False)
-    first, second = order.read(0, 4).copy(), order.read(4, 12).copy()
-    assert np.all(np.diff(first) > 0) and np.all(np.diff(second) > 0)  # sorted sets
-    head = order.read(0, 6).copy()  # ends inside the block 4..12, which is shuffled first
-    assert np.array_equal(head[:4], first)
-    after = order.read(0, 12).copy()
-    assert np.array_equal(after[:6], head)  # shuffled once, then fixed
-    assert np.array_equal(np.sort(after[4:]), second)
-    mid = order.read(2, 9).copy()  # starts inside the block 0..4, which is shuffled in turn
-    assert np.array_equal(mid[2:], after[4:9])
-    assert np.array_equal(np.sort(order.read(0, 4)), first)
-    fixed = order.read(0, 12).copy()
-    assert np.array_equal(fixed[2:9], mid) and np.array_equal(order.read(2, 9), mid)
+    order = _LazyPermutation(50, 4, np.random.default_rng(29))
+    first_view = order.read(0, 4)  # a view of the first block
+    first, second = first_view.copy(), order.read(4, 12).copy()
+    assert np.unique(np.concatenate([first, second])).size == 12
+    head = order.read(0, 6).copy()  # ends inside the block 4..12
+    assert np.array_equal(head, np.concatenate([first, second[:2]]))
+    mid = order.read(2, 9).copy()  # starts inside the block 0..4
+    assert np.array_equal(mid, np.concatenate([first[2:], second[:5]]))
+    assert np.array_equal(order.read(2, 9), mid) and np.array_equal(order.read(0, 6), head)
     whole = order.read(0, 50)
-    assert np.array_equal(whole[:12], fixed) and np.array_equal(np.sort(whole), np.arange(50))
+    assert np.array_equal(whole[:12], np.concatenate([first, second]))
+    assert np.array_equal(np.sort(whole), np.arange(50))
+    assert np.array_equal(first_view, first) and np.array_equal(order.read(4, 12), second)
 
 
 def test_a_read_from_inside_a_set_block_is_a_uniform_subset(monkeypatch):
-    # read(1, 2) starts and ends inside the first block {a < b}: without a
-    # shuffle it would always return the larger index
+    # read(1, 2) starts and ends inside the first block, a rejection draw
+    # whose rounds come out sorted: without the block's shuffle it would
+    # mostly return the larger index
     monkeypatch.setattr(rng_module, "_EAGER_FACTOR", 0)
-    got = [_LazyPermutation(6, 2, np.random.default_rng(s), ordered=False).read(1, 2)[0]
+    got = [_LazyPermutation(6, 2, np.random.default_rng(s)).read(1, 2)[0]
            for s in range(3000)]
     counts = np.bincount(got, minlength=6)
     assert stats.chisquare(counts).pvalue > 1e-4
-
-
-@pytest.mark.parametrize("n, k", [(6, 2), (7, 5)])
-def test_subset_mask_is_uniform(n, k):
-    # positions 0 and 2 are ineligible; the count kept before the fix-up
-    # varies around k, so both dropping a surplus and adding a shortfall occur
-    gen = np.random.default_rng(n * k)
-    among = np.ones(n + 2, dtype=bool)
-    among[[0, 2]] = False
-    subsets = list(itertools.combinations(np.flatnonzero(among).tolist(), k))
-    counts = dict.fromkeys(subsets, 0)
-    for _ in range(100 * len(subsets)):
-        pick = rng_module._subset_mask(gen, among, k)
-        counts[tuple(np.flatnonzero(pick).tolist())] += 1
-    assert sum(counts.values()) == 100 * len(subsets)
-    assert stats.chisquare(list(counts.values())).pvalue > 1e-4
-
-
-def test_large_set_order_is_sorted_blocks_of_every_index():
-    n = 10**5
-    order = _LazyPermutation(n, 100, np.random.default_rng(31), ordered=False)
-    start, k = 0, 100
-    while start < n:  # the batches of a test that reads all n
-        stop = min(n, start + k)
-        block = order.read(start, stop)
-        assert np.all(np.diff(block) > 0)
-        start, k = stop, 2 * k
-    assert np.array_equal(np.sort(order.read(0, n)), np.arange(n))
 
 
 def test_pilot_c_bound_positive_and_scaled():
