@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value):
+    """Reject a size that is not an int (a bool included), naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r} ({type(value).__name__})")
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """Disjoint cover of 0..N-1 by J index sets."""
@@ -54,6 +60,7 @@ class ShardPlan:
 
     @classmethod
     def contiguous(cls, n_data: int, J: int) -> "ShardPlan":
+        _check_int("J", J)
         if J < 1:
             raise ValueError(f"J must be >= 1, got {J!r}")
         return cls(n_data, tuple(np.array_split(np.arange(n_data), J)))
@@ -209,6 +216,7 @@ def consensus_kde(draws, bandwidth=None, n_out: int = 1000, *,
     as ``Generator.choice(T, p=w)`` draws it, by inverting the normalized
     cumulative weights at one ``rng.random()``, without its validation.
     """
+    _check_int("n_out", n_out)
     if n_out < 0:
         raise ValueError(f"n_out must be >= 0, got {n_out!r}")
     arr = _as_draws_array(draws)

@@ -142,6 +142,19 @@ class FactoredTarget:
     wrapper, say) is the one differenced. No sampler assigns to a target,
     so one instance can be shared across workers.
 
+    The optional ``taylor_log_lik_terms`` gives the terms' second-order
+    Taylor information at a centre c, each call from one gather. With
+    g_n = grad l_n(c) and H_n the Hessian of l_n at c,
+    ``taylor_log_lik_terms(idx, c)`` returns the batch's sums
+    ``(sum g_n, sum H_n)``, of shapes (d,) and (d, d), and
+    ``taylor_log_lik_terms(idx, c, theta)``, for theta of shape (d,) or
+    (k, d), returns the (m,) or (k, m) increments
+    q_n(theta) = g_n . (theta - c) + (theta - c)^T H_n (theta - c) / 2 of
+    each term's quadratic model. It evaluates no likelihood term. The
+    logistic and 1-D Gaussian targets give it in closed form; a target
+    without it has no fallback, and ``subsample.TaylorProxy`` then builds
+    its first-order form.
+
     A batch of term indices is an array with an integer dtype or a
     ``range``, and every batch kernel, a user's included, must accept both.
     A range ``r`` means exactly the indices ``np.asarray(r)``; convert it
@@ -162,6 +175,7 @@ class FactoredTarget:
     grad_log_prior: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_lik_terms: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     grad_log_lik_terms: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    taylor_log_lik_terms: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -254,6 +268,15 @@ def gaussian_iid_target(xs, prior_var: float = 1.0, lik_var: float = 1.0) -> Fac
     def grad_log_lik_terms(idx, th):
         return ((_take(xs, _rows(idx, len(xs))) - th[0]) / lik_var)[:, None]
 
+    def taylor_log_lik_terms(idx, c, th=None):
+        # g_n = (x_n - c) / v and H_n = -1 / v, so the model is exact
+        g = _take(xs, _rows(idx, len(xs))) - c[0]
+        g /= lik_var
+        if th is None:
+            return np.array([g.sum()]), np.array([[-len(g) / lik_var]])
+        step = th[..., :1] - c[0]
+        return step * g - 0.5 / lik_var * step ** 2
+
     return FactoredTarget(
         dim=1,
         n_data=len(xs),
@@ -261,6 +284,7 @@ def gaussian_iid_target(xs, prior_var: float = 1.0, lik_var: float = 1.0) -> Fac
         grad_log_prior=lambda th: np.array([-th[0] / prior_var]),
         log_lik_terms=log_lik_terms,
         grad_log_lik_terms=grad_log_lik_terms,
+        taylor_log_lik_terms=taylor_log_lik_terms,
     )
 
 
@@ -278,7 +302,9 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
     ``AT`` whose column n is a_n = y_n x_n, so the margin of datum n is
     z_n = theta . a_n and its log-likelihood term log sigma(z_n). It keeps
     no reference to the caller's ``X`` or ``y``: changing them afterwards
-    does not change the target.
+    does not change the target. With f = log sigma, the term's gradient is
+    f'(z_n) a_n and its Hessian f''(z_n) a_n a_n^T, so the margins at a
+    centre give ``taylor_log_lik_terms`` from one gather.
     """
     X, y = _check_logistic_data(X, y)
     n, d = X.shape
@@ -300,6 +326,24 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
         a = _take(AT, _rows(idx, n), axis=1)
         return (a * _sigmoid(-(th @ a))).T
 
+    def taylor_log_lik_terms(idx, c, th=None):
+        a = _take(AT, _rows(idx, n), axis=1)
+        s = c @ a                         # margins z_n = c . a_n
+        with np.errstate(over="ignore"):  # exp(z) = inf gives the limit s = 0
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)           # f'(z) = sigma(-z)
+        h = s - 1.0
+        h *= s                            # f''(z) = -sigma(z) sigma(-z)
+        if th is None:
+            return a @ s, (a * h) @ a.T
+        u = (th - c) @ a                  # a_n . (theta - c)
+        steps = h * u
+        steps *= 0.5
+        steps += s
+        steps *= u
+        return steps
+
     return FactoredTarget(
         dim=d,
         n_data=n,
@@ -307,6 +351,7 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
         grad_log_prior=grad_log_prior,
         log_lik_terms=log_lik_terms,
         grad_log_lik_terms=grad_log_lik_terms,
+        taylor_log_lik_terms=taylor_log_lik_terms,
     )
 
 

@@ -13,11 +13,14 @@ Both policies are one best-first search for the J unevaluated accept nodes
 of highest path probability, ties broken on (depth, key): naive prefetching
 (Brockwell 2006) sets every branch probability to 1/2, which is breadth-first
 order, and predictive prefetching (Angelino et al. 2014) asks a predictor.
-``subsample_predictor`` estimates the log-likelihood ratio from a batch with
-the package's one estimator, ``subsample.TaylorProxy``'s control-variate
-residuals, centred at the run's start (the first root it sees) after a
-one-time O(N d) gradient pass; a reused predictor keeps that first centre,
-which stays unbiased but may predict less well. Predictions only order the
+``subsample_predictor`` predicts each step's decision itself: the step's
+uniform u is known once its node is materialized (``SpecTree.us``), so it
+returns the confidence of a subsampled t-test that the step accepts, on a
+batch of the package's one estimator, ``subsample.TaylorProxy``'s
+second-order control-variate residuals. Its proxy is centred at the run's
+start (the first root it sees) after a one-time O(N d^2) pass of the
+target's Taylor kernel; a reused predictor keeps that first centre, which
+stays unbiased but may predict less well. Predictions only order the
 speculation, never a decision, and predictor work is not charged to the
 simulated clock.
 """
@@ -33,7 +36,7 @@ from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, _start_log_joi
                    mh_log_alpha, mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
-from .subsample import TaylorProxy, llr_terms
+from .subsample import TaylorProxy, llr_terms, mh_log_threshold
 
 __all__ = [
     "SpecTree",
@@ -43,6 +46,9 @@ __all__ = [
     "subsample_predictor",
     "prefetch_run",
 ]
+
+_SQRT2 = math.sqrt(2.0)
+
 
 @dataclass
 class _Node:
@@ -154,51 +160,72 @@ def constant_predictor(p: float = 0.234) -> Callable:
 
 
 def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable:
-    """Predict P(accept) as exp(min(0, log alpha)), with the log-likelihood
-    ratio estimated from a subsample of ``batch_size`` terms and the
-    Hastings term from ``mh_log_alpha``. A NaN estimate predicts a
-    rejection, p = 0, as ``mh_step`` rejects a non-finite density.
+    """Predict P(accept) as a subsampled t-test's confidence that the
+    step's known uniform u accepts: p = Phi((mean(r) - psi') / se), read
+    from a batch of m = ``batch_size`` residuals r drawn without
+    replacement by ``default_rng(seed)``.
 
-    The estimate is the difference estimator of Quiroz et al. (JASA 2019)
-    with a first-order Taylor proxy at a centre c. For a move theta ->
-    theta' it is G . (theta' - theta) + N mean(r) over the batch, where
-    G = sum_n grad l_n(c) and r_n = l_n(theta') - l_n(theta) -
-    grad l_n(c) . (theta' - theta). The residuals are small near c, so the
-    estimate is far less noisy than N times a plain batch mean of the
-    ratios; it is unbiased for every c.
+    The step accepts when sum_n [l_n(theta') - l_n(theta)] > N psi(u), with
+    psi from ``subsample.mh_log_threshold`` (prior and Hastings terms
+    included). ``subsample.TaylorProxy`` splits that sum into its
+    full-data quadratic ratio ``llr_sum`` and the residuals
+    r_n = [l_n(theta') - l_n(theta)] - [q_n(theta') - q_n(theta)], so the
+    test compares the batch mean of r with psi' = psi - ``llr_sum`` / N,
+    as subsampling MH's stopping rules do. se = s / sqrt(m) *
+    sqrt((N - m) / (N - 1)) is the mean's standard error without
+    replacement, with s the batch's sample standard deviation, and Phi the
+    standard normal distribution function. Where se = 0 (a batch of all N,
+    or residuals with no spread, as on a Gaussian target whose proxy is
+    exact) p is the indicator [mean(r) > psi'], the exact decision; a
+    single residual out of N > 1 has no spread to read, and predicts 1/2.
+    A NaN estimate predicts a rejection, p = 0, as ``mh_step`` rejects a
+    non-finite density. With no data (N = 0) p is the exact decision.
 
     The centre is the tree's root at the first call, the start of the run.
-    That call also builds the ``subsample.TaylorProxy`` there, which sums G
-    in one O(N d) blocked pass of the gradient kernel, so no N-sized array
-    is made. Every call reads the batch's residuals with ``llr_terms`` on
-    the proxy's residual target: per batch index, the terms at theta and
-    theta' in one gather and the gradient at c in one more. A predictor
-    reused for another run keeps its first centre: still unbiased, but
-    less accurate if the new run starts elsewhere. Predictor work is not
-    charged to the simulated cluster's clock.
+    That call also builds the proxy there, which sums G and H in one
+    blocked pass of the target's Taylor kernel (its gradient kernel for a
+    first-order proxy), so no N-sized array is made. Every call then reads
+    exactly m rows of ``log_lik_terms``, the terms at theta and theta' in
+    one gather, and the Taylor kernel at c on the same m indices. A
+    predictor reused for another run keeps its first centre: still
+    unbiased, but less accurate if the new run starts elsewhere. Predictor
+    work is not charged to the simulated cluster's clock.
     """
     if (isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer))
             or batch_size < 1):
         raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r} "
                          f"({type(batch_size).__name__})")
     gen = np.random.default_rng(seed)
-    m = min(batch_size, target.n_data)
+    n = target.n_data
+    m = min(int(batch_size), n)
     proxy = None
 
     def predict(tree, parent_key, child_key):
         nonlocal proxy
         theta = tree.state_for_prefix(parent_key)
         theta_new = tree.materialize(child_key).theta
-        est = target.log_prior(theta_new) - target.log_prior(theta)
-        if m:
-            n = target.n_data
-            if proxy is None:
-                proxy = TaylorProxy(target, tree.root_theta)
-            idx = gen.choice(n, size=m, replace=False)
-            r = llr_terms(proxy.target, idx, theta, theta_new)
-            est += proxy.llr_sum(theta, theta_new) + n * float(np.mean(r))
-        log_alpha = mh_log_alpha(est, tree.proposal, theta, theta_new)
-        return 0.0 if math.isnan(log_alpha) else math.exp(min(0.0, log_alpha))
+        u = tree.us[tree.steps_done + len(child_key) - 1]
+        if not n:
+            log_alpha = mh_log_alpha(target.log_prior(theta_new) - target.log_prior(theta),
+                                     tree.proposal, theta, theta_new)
+            return float(math.log(u) < log_alpha)
+        if proxy is None:
+            proxy = TaylorProxy(target, tree.root_theta)
+        psi = mh_log_threshold(u, theta, theta_new, tree.proposal, target.log_prior, n)
+        shifted = psi - proxy.llr_sum(theta, theta_new) / n
+        idx = gen.choice(n, size=m, replace=False)
+        r = llr_terms(proxy.target, idx, theta, theta_new)
+        mean = float(r.sum()) / m
+        diff = mean - shifted
+        if m == n:
+            p = float(diff > 0.0)  # se = 0: the batch is all the data
+        elif m == 1:
+            p = 0.5  # one residual has no spread to read
+        else:
+            var = max(float(r @ r) / m - mean * mean, 0.0) * m / (m - 1)
+            se = math.sqrt(var / m * (n - m) / (n - 1))
+            p = 0.5 * math.erfc(-diff / (se * _SQRT2)) if se else float(diff > 0.0)
+        return 0.0 if math.isnan(diff) or math.isnan(p) else p
 
     return predict
 

@@ -16,17 +16,23 @@ Every rule averages control-variate residuals, not raw log-likelihood
 ratios: the difference estimator of Bardenet, Doucet & Holmes, "On Markov
 chain Monte Carlo methods for tall data" (JMLR 2017), and Quiroz et al.,
 "Speeding up MCMC by efficient data subsampling" (JASA 2019), with a
-first-order Taylor proxy at a centre c (``TaylorProxy``). For a move
-theta -> theta' the residual of term n is
-r_n = [l_n(theta') - l_n(theta)] - grad l_n(c) . (theta' - theta), and
-sum_n r_n + G . (theta' - theta) = sum_n [l_n(theta') - l_n(theta)] for
-every c, where G = sum_n grad l_n(c). So the rule compares the mean
-residual with psi - G . (theta' - theta) / N: the estimate is unbiased,
-and reading all the data still gives the exact decision. A chain takes c
-at its start, theta0, and sums G there in one O(N d) pass over blocks of
-the gradient kernel, once per run. Near c the residuals are second order
-in the move, so a step reads a small share of the data; a chain that
-wanders far from its start reads more, but stays unbiased.
+second-order Taylor proxy at a centre c (``TaylorProxy``). With
+q_n(theta) = g_n . (theta - c) + (theta - c)^T H_n (theta - c) / 2, where
+g_n and H_n are the gradient and Hessian of l_n at c, the residual of term
+n for a move theta -> theta' is
+r_n = [l_n(theta') - l_n(theta)] - [q_n(theta') - q_n(theta)], and
+sum_n r_n + L = sum_n [l_n(theta') - l_n(theta)] for every c, where
+L = G . (theta' - theta) + [(theta' - c)^T H (theta' - c)
+- (theta - c)^T H (theta - c)] / 2 with G = sum_n g_n and H = sum_n H_n.
+So the rule compares the mean residual with psi - L / N: the estimate is
+unbiased, and reading all the data still gives the exact decision. A chain
+takes c at its start, theta0, and sums G and H there in one O(N d^2) pass
+over blocks of the target's ``taylor_log_lik_terms`` kernel, once per run.
+A target without that kernel gets the first-order proxy (H = 0, g_n from
+the gradient kernel). Near c the residuals are third order in the move (a
+first-order proxy leaves second-order ones), so a step reads a small share
+of the data; a chain that wanders far from its start reads more, but stays
+unbiased.
 
 The t-test's statistic is t = (mean - psi) / sigma, the distance of the
 running mean from the threshold in standard errors (sampling without
@@ -36,10 +42,11 @@ wrong one, is at most epsilon. It decides on a cached bracket of |t| around
 the crossing rho = epsilon, so a batch costs O(1) Python operations beyond
 the kernel call; rho is computed only for a |t| inside that bracket.
 
-Each batch is gathered once: ``llr_terms`` evaluates the terms at theta'
-and theta in one call of the batch kernel, on the stacked (2, d)
-parameters. The rules read ``TaylorProxy``'s residual target, whose kernel
-adds one call of the wrapped target's gradient kernel at c.
+Each batch is gathered once for the likelihood: ``llr_terms`` evaluates the
+terms at theta' and theta in one call of the batch kernel, on the stacked
+(2, d) parameters. The rules read ``TaylorProxy``'s residual target, whose
+kernel adds one call of the wrapped target's Taylor kernel at c (or of its
+gradient kernel, for the first-order proxy) on the same indices.
 """
 
 import functools
@@ -76,48 +83,74 @@ PILOT_SAFETY = 1.5
 # ``rho <= epsilon``.
 _SF_MARGIN = 1e-9
 _BRACKET_EVALS = 30
-# Terms per gradient-kernel call in a proxy's one-time pass. On 2 vCPUs
-# with one BLAS thread, the logistic pass at N = 1e5, d = 5 took 1.0 ms in
-# 4096-term blocks, 1.9 ms in 2048 and 2.9 ms in 1024, as each call carries
-# about 20 us of fixed cost; a block's scratch memory is O(block d).
-_GRAD_BLOCK = 4096
+# Terms per kernel call in a proxy's one-time pass. Each call carries about
+# 20 us of fixed cost: the first-order logistic pass at N = 1e5, d = 5 took
+# 1.0 ms in 4096-term blocks and 2.9 ms in 1024 (2 vCPUs, one BLAS thread).
+# 16384-term blocks made the second-order pass only 3% faster (1.29 against
+# 1.33 ms), while their 655 KB (d, block) temporaries slowed the other
+# samplers in the benchmark's processes by about 6%. Scratch memory is
+# O(block d).
+_PASS_BLOCK = 4096
 
 
 class TaylorProxy:
-    """First-order Taylor control variate for log-likelihood ratios, centred
-    at ``centre`` (c): the package's one estimator of them.
+    """Second-order Taylor control variate for log-likelihood ratios,
+    centred at ``centre`` (c): the package's one estimator of them.
 
     ``target`` is the residual target. Its term n at theta is
-    l_n(theta) - grad l_n(c) . (theta - c), from one call of the wrapped
-    target's batch kernel and one of its gradient kernel at c, so
-    ``llr_terms`` on it gives the residuals
-    r_n = [l_n(theta') - l_n(theta)] - grad l_n(c) . (theta' - theta) of a
-    batch gathered once; each rounds at the size of those terms, not of
-    their difference. ``grad_sum`` is G = sum_n grad l_n(c), summed at
-    construction in one O(N d) pass over unit-step ``range`` blocks of
-    ``_GRAD_BLOCK`` terms of the gradient kernel, so no N-sized array is
+    l_n(theta) - q_n(theta), with the likelihood term from the wrapped
+    target's ``log_lik_terms`` and the quadratic model
+    q_n(theta) = g_n . (theta - c) + (theta - c)^T H_n (theta - c) / 2 from
+    one call of its ``taylor_log_lik_terms`` at c, so ``llr_terms`` on it
+    gives the residuals r_n = [l_n(theta') - l_n(theta)] - [q_n(theta') -
+    q_n(theta)] of a batch gathered once for the likelihood; each rounds at
+    the size of those terms, not of their difference. ``grad_sum`` is
+    G = sum_n g_n and ``hess_sum`` H = sum_n H_n, both summed at
+    construction in one pass over unit-step ``range`` blocks of
+    ``_PASS_BLOCK`` terms of the Taylor kernel, so no N-sized array is
     made. N times a batch mean of residuals plus ``llr_sum`` estimates the
     full-data ratio without bias, for every c.
+
+    A target without ``taylor_log_lik_terms`` gets the first-order form:
+    q_n(theta) = g_n . (theta - c), g_n from ``grad_log_lik_terms`` in both
+    the pass and the residual target, and H = 0.
     """
 
     def __init__(self, target: FactoredTarget, centre):
         centre = np.array(centre, dtype=float)
-        n = target.n_data
-        blocks = (range(s, min(s + _GRAD_BLOCK, n)) for s in range(0, n, _GRAD_BLOCK))
-        self.grad_sum = sum((target.grad_log_lik_terms(b, centre).sum(axis=0)
-                             for b in blocks), np.zeros(target.dim))
+        n, d = target.n_data, target.dim
+        blocks = (range(s, min(s + _PASS_BLOCK, n)) for s in range(0, n, _PASS_BLOCK))
+        self.centre = centre
+        self.grad_sum, self.hess_sum = np.zeros(d), np.zeros((d, d))
+        if target.taylor_log_lik_terms is None:
+            for b in blocks:
+                self.grad_sum += target.grad_log_lik_terms(b, centre).sum(axis=0)
+
+            def model(idx, th):
+                return (th - centre) @ target.grad_log_lik_terms(idx, centre).T
+        else:
+            for b in blocks:
+                g, h = target.taylor_log_lik_terms(b, centre)
+                self.grad_sum += g
+                self.hess_sum += h
+
+            def model(idx, th):
+                return target.taylor_log_lik_terms(idx, centre, th)
 
         def residual_terms(idx, th):
-            return (target.log_lik_terms(idx, th)
-                    - (th - centre) @ target.grad_log_lik_terms(idx, centre).T)
+            return target.log_lik_terms(idx, th) - model(idx, th)
 
-        self.target = FactoredTarget(dim=target.dim, n_data=n, log_prior=target.log_prior,
+        self.target = FactoredTarget(dim=d, n_data=n, log_prior=target.log_prior,
                                      grad_log_prior=target.grad_log_prior,
                                      log_lik_terms=residual_terms)
 
     def llr_sum(self, theta, theta_new) -> float:
-        """G . (theta' - theta), the proxy's full-data log-likelihood ratio."""
-        return float(self.grad_sum @ (theta_new - theta))
+        """The proxy's full-data log-likelihood ratio, sum_n q_n(theta') -
+        q_n(theta) = G . (theta' - theta) + [(theta' - c)^T H (theta' - c) -
+        (theta - c)^T H (theta - c)] / 2, formed as
+        (theta' - theta) . [G + H ((theta + theta') / 2 - c)]."""
+        mid = 0.5 * (theta + theta_new) - self.centre
+        return float((theta_new - theta) @ (self.grad_sum + self.hess_sum @ mid))
 
 
 @dataclass
@@ -402,13 +435,13 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
 
     Every step's rule averages control-variate residuals (the difference
     estimator of Bardenet, Doucet & Holmes, JMLR 2017, and Quiroz et al.,
-    JASA 2019) of a first-order Taylor proxy centred at c = ``theta0``,
-    whose gradient sum G = sum_n grad l_n(c) is taken once, before the
-    first step, in one O(N d) pass over blocks of the gradient kernel. Each
-    batch then reads the terms at theta and theta' and the gradients at c.
-    The estimate is unbiased at every state, but the residuals grow with
-    the distance from c, so a chain that wanders far from its start reads
-    more data per step.
+    JASA 2019) of a second-order Taylor proxy centred at c = ``theta0``
+    (``TaylorProxy``; first order for a target without a Taylor kernel),
+    whose sums G and H are taken once, before the first step, in one pass
+    over blocks of the kernel. Each batch then reads the terms at theta and
+    theta' and the Taylor kernel at c on the same indices. The estimate is
+    unbiased at every state, but the residuals grow with the distance from
+    c, so a chain that wanders far from its start reads more data per step.
 
     With ``compare_exact`` the exact full-data MH decision is evaluated for
     the same (theta', u) at every step and the count of decision mismatches

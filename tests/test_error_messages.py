@@ -105,3 +105,36 @@ def test_error_names_the_bad_value(case):
     rest = message[len(prefix):]
     for value in values:
         assert value in rest, message
+
+
+TYPE_CASES = {
+    "J float contiguous": (lambda: ShardPlan.contiguous(10, 2.5), "J must be an int",
+                           ["2.5", "float"]),
+    "J bool contiguous": (lambda: ShardPlan.contiguous(10, True), "J must be an int",
+                          ["True", "bool"]),
+    "n_out float consensus_kde": (
+        lambda: consensus_kde(np.zeros((2, 3, 1)), 1.0, n_out=2.5, rng=np.random.default_rng(0)),
+        "n_out must be an int", ["2.5", "float"]),
+    "n_out bool consensus_kde": (
+        lambda: consensus_kde(np.zeros((2, 3, 1)), 1.0, n_out=True, rng=np.random.default_rng(0)),
+        "n_out must be an int", ["True", "bool"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_CASES))
+def test_size_of_the_wrong_type_names_the_value(case):
+    call, prefix, values = TYPE_CASES[case]
+    with pytest.raises(TypeError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(prefix), message
+    rest = message[len(prefix):]
+    for value in values:
+        assert value in rest, message
+
+
+def test_numpy_int_sizes_are_accepted():
+    assert ShardPlan.contiguous(10, np.int64(2)).J == 2
+    draws = consensus_kde(np.zeros((2, 3, 1)), 1.0, n_out=np.int64(4),
+                          rng=np.random.default_rng(0))
+    assert draws.shape == (4, 1)

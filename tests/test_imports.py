@@ -298,28 +298,34 @@ def test_data_sized_draw_checker_flags_a_draw_planted_in_prefetch():
     assert [name for _, name in data_sized_draws(planted)] == ["choice"]
 
 
+DERIVATIVE_KERNELS = ("grad_log_lik_terms", "taylor_log_lik_terms")
+
+
 def gradient_kernel_references(source: str):
-    """Lines of every name or attribute in ``source`` called ``grad_log_lik_terms``."""
+    """Lines of every name or attribute in ``source`` called
+    ``grad_log_lik_terms`` or ``taylor_log_lik_terms``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if (isinstance(node, ast.Name) and node.id == "grad_log_lik_terms")
-                  or (isinstance(node, ast.Attribute) and node.attr == "grad_log_lik_terms"))
+                  if (isinstance(node, ast.Name) and node.id in DERIVATIVE_KERNELS)
+                  or (isinstance(node, ast.Attribute) and node.attr in DERIVATIVE_KERNELS))
 
 
 def test_gradient_kernel_checker_flags_a_read_planted_in_prefetch():
     source = PREFETCH.read_text()
-    line = "            r = llr_terms(proxy.target, idx, theta, theta_new)\n"
+    line = "        r = llr_terms(proxy.target, idx, theta, theta_new)\n"
     assert source.count(line) == 1
-    planted = source.replace(line, line + "            g = target.grad_log_lik_terms(idx, theta)\n")
     start = source[:source.index(line)].count("\n") + 1
-    assert gradient_kernel_references(planted) == [start + 1]
+    for read in ("g = target.grad_log_lik_terms(idx, theta)",
+                 "q = target.taylor_log_lik_terms(idx, theta, theta_new)"):
+        planted = source.replace(line, line + "        " + read + "\n")
+        assert gradient_kernel_references(planted) == [start + 1]
     assert gradient_kernel_references('doc = "grad_log_lik_terms"\n') == []  # code only
 
 
 def test_prefetch_estimates_only_through_the_subsample_proxy():
-    # a predictor that read the gradient kernel itself would be a second
-    # log-likelihood-ratio estimator beside subsample.TaylorProxy
+    # a predictor that read the gradient or Taylor kernel itself would be a
+    # second log-likelihood-ratio estimator beside subsample.TaylorProxy
     assert gradient_kernel_references(PREFETCH.read_text()) == [], (
-        "prefetch.py reads grad_log_lik_terms")
+        "prefetch.py reads grad_log_lik_terms or taylor_log_lik_terms")
 
 
 def dead_private_names(sources: dict):

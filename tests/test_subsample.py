@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,12 +45,22 @@ def flat_prior_target(values):
 def logistic_target(n, seed, d=1):
     """Logistic regression on ``n`` seeded standard-normal feature rows of
     length ``d``, labels drawn at coefficients all 1. A stopping rule
-    averages residuals of a first-order Taylor proxy, which have real
-    spread here; on ``flat_prior_target`` they are the same for every n."""
+    averages residuals of a second-order Taylor proxy, which have real but
+    small spread here; on ``flat_prior_target`` they are the same for
+    every n."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-X.sum(axis=1))), 1.0, -1.0)
     return logistic_regression_target(X, y)
+
+
+def first_order(target):
+    """``target`` without its Taylor kernel, so its proxy is first order.
+    Its residuals are second order in the move, large enough that a step
+    near the start reads several batches; tests of the stopping rules'
+    reading use it, since with the second-order proxy most steps stop at
+    their first batch."""
+    return replace(target, taylor_log_lik_terms=None)
 
 
 # -- special functions --------------------------------------------------------
@@ -355,7 +366,7 @@ def test_ttest_chain_computes_rho_rarely(monkeypatch):
     X = np.column_stack([np.ones(N), rng.standard_normal((N, 4))])
     theta = np.array([0.5, 1.0, -1.0, 0.5, -0.5])
     y = np.where(rng.random(N) < 1.0 / (1.0 + np.exp(-X @ theta)), 1.0, -1.0)
-    target = logistic_regression_target(X, y)
+    target = first_order(logistic_regression_target(X, y))
     calls = collections.Counter()
     real = subsample.student_t_sf
 
@@ -498,7 +509,7 @@ def after_proposal(prop, theta0, seed, t):
 
 def test_step_reads_a_prefix_of_its_permutation(monkeypatch):
     N = 500
-    target = logistic_target(N, 14, d=5)
+    target = first_order(logistic_target(N, 14, d=5))
     read = record_reads(monkeypatch, target)
     prop = gaussian_random_walk(0.1)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
@@ -522,7 +533,7 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
         return out
 
     monkeypatch.setattr(subsample, "llr_update", counting)
-    target = logistic_target(300, 16)
+    target = first_order(logistic_target(300, 16))
     cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule="ttest")
     _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.5), np.zeros(1), 1,
                                 cfg, KeyedRng(17))
@@ -554,7 +565,7 @@ def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
 
 @pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
 def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
-    target = logistic_target(LAZY_N, 20)
+    target = first_order(logistic_target(LAZY_N, 20))
     read = record_reads(monkeypatch, target)
     prop = gaussian_random_walk(0.05)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule=rule)
@@ -577,8 +588,9 @@ def test_lazy_step_draws_the_pilot_after_the_first_batch(monkeypatch, rule):
 def test_tiny_epsilon_recovers_exact_decisions_on_a_lazy_order(rule):
     # five coefficients, from near the mode: with one, the residuals are so
     # small next to |Lambda - psi| that even this epsilon settles many steps
-    # within a few hundred terms
-    target = logistic_target(LAZY_N, 23, d=5)
+    # within a few hundred terms; with the second-order proxy's residuals,
+    # even five settle most steps within a few batches
+    target = first_order(logistic_target(LAZY_N, 23, d=5))
     cfg = StopRuleConfig(batch=10, epsilon=1e-300, rule=rule)
     _, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.05),
                                                np.ones(5), 30, cfg, KeyedRng(24),
@@ -703,9 +715,10 @@ def test_run_adaptive_mh_is_steps_on_keyed_streams(rule):
 def test_tail_proposals_use_less_data_than_mode_proposals():
     # far-out proposals decide early; near-mode proposals read more data.
     # Each chain's proxy is centred at its start, and on this target a first
-    # batch of 50 residuals decides almost every step anywhere, so the
-    # batch is 10
-    target = logistic_target(5000, 10, d=5)
+    # batch of 50 first-order residuals decides almost every step anywhere,
+    # so the batch is 10; a first batch of second-order ones decides nearly
+    # every step at either start
+    target = first_order(logistic_target(5000, 10, d=5))
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     prop = gaussian_random_walk(0.05)
 
@@ -783,15 +796,15 @@ def test_empty_target_rejected_before_any_draw(monkeypatch):
 # -- the Taylor proxy -----------------------------------------------------------
 
 def test_gaussian_residuals_decide_at_the_first_batch_as_exact_mh_does():
-    # on a Gaussian mean model r_n = (theta' - theta)(c - (theta + theta') / 2)
-    # for every n, so the t-test sees no spread and the first batch decides
+    # a Gaussian mean model's terms are quadratic, so the second-order proxy
+    # is exact: r_n = 0 up to rounding for every n, the t-test sees no
+    # spread and the first batch decides
     xs = np.random.default_rng(34).normal(0.5, 1.0, 1000)
     target = gaussian_iid_target(xs)
     theta0 = np.array([0.3])
     th, thp = np.array([0.45]), np.array([0.62])
     r = llr_terms(TaylorProxy(target, theta0).target, target.all_indices(), th, thp)
-    assert r == pytest.approx(np.full(1000, (thp - th)[0] * (theta0 - (th + thp) / 2)[0]),
-                              rel=1e-9, abs=1e-15)
+    assert np.all(np.abs(r) <= 1e-14)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
     buf, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.1), theta0,
                                                  200, cfg, KeyedRng(35), compare_exact=True)
@@ -815,11 +828,14 @@ def test_residuals_plus_the_proxy_sum_are_the_full_data_ratio(data, n):
     ell = llr_terms(target, idx, theta, theta_new)
     r = llr_terms(proxy.target, idx, theta, theta_new)
     # a residual is a difference of the residual target's terms at theta'
-    # and theta, l_n - grad l_n(c) . (. - c), so it rounds at their size
+    # and theta, l_n - q_n, so it rounds at the size of l_n and of q_n's
+    # first- and second-order parts (the latter at most |q_n| plus the former)
     grads = target.grad_log_lik_terms(idx, centre)
-    terms = target.log_lik_terms(idx, np.array([theta_new, theta]))
-    scale = float(np.abs(terms).sum()
-                  + np.abs(np.array([theta_new - centre, theta - centre]) @ grads.T).sum())
+    pair = np.array([theta_new, theta])
+    terms = target.log_lik_terms(idx, pair)
+    first = np.abs((pair - centre) @ grads.T).sum()
+    model = np.abs(target.taylor_log_lik_terms(idx, centre, pair)).sum()
+    scale = float(np.abs(terms).sum() + 2.0 * first + model)
     total = float(r.sum()) + proxy.llr_sum(theta, theta_new)
     # tiny: a sum of subnormals can be off by one subnormal step
     assert abs(total - float(ell.sum())) <= 1e-12 * scale + np.finfo(float).tiny
@@ -827,7 +843,7 @@ def test_residuals_plus_the_proxy_sum_are_the_full_data_ratio(data, n):
 
 def test_a_run_reads_the_gradients_at_its_start_once_in_blocks(monkeypatch):
     n = 10_000  # blocks of 4096, 4096 and 1808 terms
-    target = logistic_target(n, 36)
+    target = first_order(logistic_target(n, 36))
     calls = []
     grad = target.grad_log_lik_terms
 
@@ -850,3 +866,109 @@ def test_a_run_reads_the_gradients_at_its_start_once_in_blocks(monkeypatch):
         # then one call per batch, at the same indices the ratios read
         assert sum(len(idx) for idx, _ in calls[len(setup):]) == m_used.sum() < 30 * n
         assert all(np.array_equal(th, theta0) for _, th in calls)
+
+
+def test_a_run_reads_the_taylor_kernel_at_its_start_once_in_blocks(monkeypatch):
+    n = 10_000  # blocks of 4096, 4096 and 1808 terms
+    target = logistic_target(n, 36)
+    calls = []
+    taylor = target.taylor_log_lik_terms
+
+    def counting(idx, c, th=None):
+        calls.append((idx, np.array(c), None if th is None else np.shape(th)))
+        return taylor(idx, c) if th is None else taylor(idx, c, th)
+
+    monkeypatch.setattr(target, "taylor_log_lik_terms", counting)
+    monkeypatch.setattr(target, "grad_log_lik_terms", None)  # never read
+    reads = record_reads(monkeypatch, target)
+    theta0 = np.array([0.8])
+    cfg = StopRuleConfig(batch=20, epsilon=0.05, rule="ttest")
+    _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.3), theta0, 30, cfg,
+                                KeyedRng(37))
+    # the set-up pass: unit-step ranges, in order, that cover the data once,
+    # each asking for the sums
+    setup = list(itertools.takewhile(lambda call: isinstance(call[0], range), calls))
+    assert len(setup) == 3 and all(shape is None for *_, shape in setup)
+    assert np.array_equal(np.concatenate([np.asarray(idx) for idx, *_ in setup]),
+                          np.arange(n))
+    # then one call per batch, on the stacked pair, at the indices the ratios read
+    batches = calls[len(setup):]
+    assert [len(idx) for idx, *_ in batches] == [len(idx) for idx in reads]
+    assert all(np.array_equal(a, b) for (a, *_), b in zip(batches, reads))
+    assert all(shape == (2, 1) for *_, shape in batches)
+    assert sum(len(idx) for idx in reads) == m_used.sum() < 30 * n
+    assert all(np.array_equal(c, theta0) for _, c, _ in calls)
+
+
+def test_a_residual_batch_reads_its_rows_once_through_log_lik_terms(monkeypatch):
+    # from a start in the tail the chain drifts away from its centre, so
+    # some steps read several batches of the second-order residuals
+    target = logistic_target(5000, 10, d=5)
+    reads = record_reads(monkeypatch, target)
+    cfg = StopRuleConfig(batch=2, epsilon=0.05, rule="ttest")
+    _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.05), np.full(5, 4.0), 60,
+                                cfg, KeyedRng(1))
+    assert m_used.max() > 8 * cfg.batch  # several batches
+    assert all(r.shape == (len(np.unique(r)),) for r in reads)
+    assert sum(len(r) for r in reads) == m_used.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_taylor_kernel_curvature_matches_differenced_gradients(data):
+    # per datum, (theta - c)^T H_n (theta - c) from the kernel's model at
+    # c + v and c - v against central differences of grad_log_lik_terms
+    # along v; and the sums against the per-datum kernels
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    d = data.draw(st.integers(1, 4))
+    target = logistic_target(50, seed, d=d)
+    coord = st.floats(-3.0, 3.0)
+    c = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    idx = np.arange(50)
+    steps = target.taylor_log_lik_terms(idx, c, np.array([c + v, c - v]))
+    grad_sum, hess_sum = target.taylor_log_lik_terms(idx, c)
+    curv = steps[0] + steps[1]      # v^T H_n v: the odd first-order parts cancel
+    slope = 0.5 * (steps[0] - steps[1])  # g_n . v
+    h = 1e-5
+    fd = (target.grad_log_lik_terms(idx, c + h * v)
+          - target.grad_log_lik_terms(idx, c - h * v)) @ v / (2.0 * h)
+    assert curv == pytest.approx(fd, abs=1e-6)
+    assert np.all(curv <= 1e-12)    # log sigma is concave
+    grads = target.grad_log_lik_terms(idx, c)
+    assert slope == pytest.approx(grads @ v, rel=1e-9, abs=1e-12)
+    assert grad_sum == pytest.approx(grads.sum(axis=0), rel=1e-9, abs=1e-12)
+    assert float(v @ hess_sum @ v) == pytest.approx(float(curv.sum()), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["hoeffding", "bernstein"])
+def test_gaussian_concentration_rules_stop_at_their_first_batch(rule):
+    # the second-order proxy is exact on gaussian_iid_target, so the rules
+    # see residuals of 0, and with a C that bounds them decide on their
+    # first batch as exact MH does (the t-test's case is
+    # test_gaussian_residuals_decide_at_the_first_batch_as_exact_mh_does)
+    xs = np.random.default_rng(40).normal(0.5, 1.0, 5000)
+    target = gaussian_iid_target(xs)
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule=rule, c_bound=1e-12)
+    buf, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.02),
+                                                 np.array([0.4]), 300, cfg, KeyedRng(41),
+                                                 compare_exact=True)
+    assert disagreements == 0
+    assert np.all(m_used == 10)
+    assert 0.1 < buf.acceptance_rate < 0.9
+
+
+def test_the_proxy_pass_at_a_million_data_allocates_no_data_sized_array():
+    # an N-sized float array would be 8 MB; a pass block's scratch is O(block d)
+    rng = np.random.default_rng(42)
+    n = 10**6
+    target = logistic_regression_target(rng.standard_normal((n, 2)),
+                                        np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    tracemalloc.start()
+    try:
+        proxy = TaylorProxy(target, np.array([0.3, -0.2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.linalg.eigvalsh(proxy.hess_sum) < 0.0)  # log sigma is concave
+    assert peak < 1_000_000

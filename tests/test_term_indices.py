@@ -42,10 +42,14 @@ _sg_bound = scaled_gaussian_bound(_xs, 0.1)
 
 
 def _target_kernels(name, target, theta):
-    return {
+    kernels = {
         f"{name}.terms": (target.n_data, lambda idx: target.log_lik_terms(idx, theta)),
         f"{name}.grads": (target.n_data, lambda idx: target.grad_log_lik_terms(idx, theta)),
     }
+    if target.taylor_log_lik_terms is not None:
+        kernels[f"{name}.taylor"] = (
+            target.n_data, lambda idx: target.taylor_log_lik_terms(idx, 0.5 * theta, theta))
+    return kernels
 
 
 KERNELS = {
