@@ -63,6 +63,8 @@ class ShardPlan:
         _check_int("J", J)
         if J < 1:
             raise ValueError(f"J must be >= 1, got {J!r}")
+        if J > n_data >= 1:  # with no data every shard is empty, whatever J
+            raise ValueError(f"J must be <= n_data, got J={J!r} for n_data={n_data!r}")
         return cls(n_data, tuple(np.array_split(np.arange(n_data), J)))
 
     @property

@@ -139,8 +139,10 @@ class FactoredTarget:
     array-valued ``log_lik_terms(block, .)``), so a large batch needs little
     scratch memory beyond its result. The fallbacks read the kernels when
     called, so a kernel assigned after construction (a term-counting
-    wrapper, say) is the one differenced. No sampler assigns to a target,
-    so one instance can be shared across workers.
+    wrapper, say) is the one differenced. No sampler assigns to a field,
+    so one instance can be shared across workers; ``subsample.taylor_proxy``
+    caches its control variate in an attribute of the instance that is not
+    a field, so ``dataclasses.replace`` starts without it.
 
     The optional ``taylor_log_lik_terms`` gives the terms' second-order
     Taylor information at a centre c, each call from one gather. With

@@ -18,11 +18,14 @@ uniform u is known once its node is materialized (``SpecTree.us``), so it
 returns the confidence of a subsampled t-test that the step accepts, on a
 batch of the package's one estimator, ``subsample.TaylorProxy``'s
 second-order control-variate residuals. Its proxy is centred at the run's
-start (the first root it sees) after a one-time O(N d^2) pass of the
-target's Taylor kernel; a reused predictor keeps that first centre, which
-stays unbiased but may predict less well. Predictions only order the
-speculation, never a decision, and predictor work is not charged to the
-simulated clock.
+start (the first root it sees) and comes from ``subsample.taylor_proxy``,
+which runs the O(N d^2) pass of the target's Taylor kernel only if no
+proxy with that centre and those kernels is cached on the target: a
+predictor beside a subsampling run from the same start, or a second
+predictor there, makes no pass. A reused predictor keeps its first
+centre, which stays unbiased but may predict less well. Predictions only
+order the speculation, never a decision, and predictor work is not
+charged to the simulated clock.
 """
 
 import heapq
@@ -36,7 +39,7 @@ from .mcmc import (ProposalDist, SampleBuffer, _finite_or_neginf, _start_log_joi
                    mh_log_alpha, mh_propose)
 from .rng import KeyedRng
 from .simcluster import SimCluster
-from .subsample import TaylorProxy, llr_terms, mh_log_threshold
+from .subsample import llr_terms, mh_log_threshold, taylor_proxy
 
 __all__ = [
     "SpecTree",
@@ -182,9 +185,13 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     non-finite density. With no data (N = 0) p is the exact decision.
 
     The centre is the tree's root at the first call, the start of the run.
-    That call also builds the proxy there, which sums G and H in one
+    That call gets the proxy there from ``subsample.taylor_proxy``: the one
+    cached on the target if it has that centre (same bytes) and the
+    target's current kernels, else a new one, which sums G and H in one
     blocked pass of the target's Taylor kernel (its gradient kernel for a
-    first-order proxy), so no N-sized array is made. Every call then reads
+    first-order proxy), so no N-sized array is made. So a predictor beside
+    an ``ss`` run from the same start makes no pass; one long run of a
+    single predictor pays the pass once either way. Every call then reads
     exactly m rows of ``log_lik_terms``, the terms at theta and theta' in
     one gather, and the Taylor kernel at c on the same m indices. A
     predictor reused for another run keeps its first centre: still
@@ -210,7 +217,7 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
                                      tree.proposal, theta, theta_new)
             return float(math.log(u) < log_alpha)
         if proxy is None:
-            proxy = TaylorProxy(target, tree.root_theta)
+            proxy = taylor_proxy(target, tree.root_theta)
         psi = mh_log_threshold(u, theta, theta_new, tree.proposal, target.log_prior, n)
         shifted = psi - proxy.llr_sum(theta, theta_new) / n
         idx = gen.choice(n, size=m, replace=False)

@@ -27,12 +27,15 @@ L = G . (theta' - theta) + [(theta' - c)^T H (theta' - c)
 So the rule compares the mean residual with psi - L / N: the estimate is
 unbiased, and reading all the data still gives the exact decision. A chain
 takes c at its start, theta0, and sums G and H there in one O(N d^2) pass
-over blocks of the target's ``taylor_log_lik_terms`` kernel, once per run.
-A target without that kernel gets the first-order proxy (H = 0, g_n from
-the gradient kernel). Near c the residuals are third order in the move (a
-first-order proxy leaves second-order ones), so a step reads a small share
-of the data; a chain that wanders far from its start reads more, but stays
-unbiased.
+over blocks of the target's ``taylor_log_lik_terms`` kernel. ``taylor_proxy``
+keeps that proxy on the target, keyed on the centre's bytes, the data's size
+and the kernels it read, so later runs from the same start and a prefetch
+predictor rooted there reuse it without a pass; a single long chain pays the
+pass once either way and gains nothing. A target without that kernel gets
+the first-order proxy (H = 0, g_n from the gradient kernel). Near c the
+residuals are third order in the move (a first-order proxy leaves
+second-order ones), so a step reads a small share of the data; a chain
+that wanders far from its start reads more, but stays unbiased.
 
 The t-test's statistic is t = (mean - psi) / sigma, the distance of the
 running mean from the threshold in standard errors (sampling without
@@ -65,6 +68,7 @@ __all__ = [
     "LLRAccumulator",
     "StopRuleConfig",
     "TaylorProxy",
+    "taylor_proxy",
     "mh_log_threshold",
     "llr_terms",
     "llr_update",
@@ -95,7 +99,11 @@ _PASS_BLOCK = 4096
 
 class TaylorProxy:
     """Second-order Taylor control variate for log-likelihood ratios,
-    centred at ``centre`` (c): the package's one estimator of them.
+    centred at ``centre`` (c): the package's one estimator of them. The
+    samplers get it through ``taylor_proxy``, which keeps one per target,
+    keyed on the centre's bytes, the data's size and the kernels, so runs
+    and predictors from one start share its pass; a single long chain builds
+    one either way and gains nothing.
 
     ``target`` is the residual target. Its term n at theta is
     l_n(theta) - q_n(theta), with the likelihood term from the wrapped
@@ -151,6 +159,37 @@ class TaylorProxy:
         (theta' - theta) . [G + H ((theta + theta') / 2 - c)]."""
         mid = 0.5 * (theta + theta_new) - self.centre
         return float((theta_new - theta) @ (self.grad_sum + self.hess_sum @ mid))
+
+
+_KERNELS = ("log_lik_terms", "grad_log_lik_terms", "taylor_log_lik_terms")
+
+
+def taylor_proxy(target: FactoredTarget, centre) -> TaylorProxy:
+    """``target``'s ``TaylorProxy`` at ``centre``, built at most once per
+    (target, centre): the one place a sampler gets a proxy.
+
+    The last proxy built is kept in one slot on the target instance (the
+    attribute ``_taylor_proxy``, not a dataclass field, so a ``replace``d
+    target starts without one) and is returned again while the centre is
+    the same bytes, ``n_data`` and ``dim`` are unchanged and the target
+    still holds the kernels it was built from (``log_lik_terms``,
+    ``grad_log_lik_terms`` and ``taylor_log_lik_terms``, compared with
+    ``is``) and the slot was filled on this instance, not copied from
+    another; otherwise the O(N d^2) pass runs again and replaces it. The
+    cached G and H are the floats a fresh build gives, so no chain changes.
+    Repeated runs from one start, and a ``prefetch.subsample_predictor``
+    beside a run, share one pass; a single long chain gains nothing.
+    """
+    centre = np.array(centre, dtype=float)
+    built = (target, *(getattr(target, k) for k in _KERNELS))
+    key = (target.n_data, target.dim, centre.shape, centre.tobytes())
+    slot = getattr(target, "_taylor_proxy", None)
+    if (slot is not None and slot[1] == key
+            and all(a is b for a, b in zip(slot[0], built))):
+        return slot[2]
+    proxy = TaylorProxy(target, centre)
+    target._taylor_proxy = (built, key, proxy)
+    return proxy
 
 
 @dataclass
@@ -437,20 +476,26 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
     estimator of Bardenet, Doucet & Holmes, JMLR 2017, and Quiroz et al.,
     JASA 2019) of a second-order Taylor proxy centred at c = ``theta0``
     (``TaylorProxy``; first order for a target without a Taylor kernel),
-    whose sums G and H are taken once, before the first step, in one pass
-    over blocks of the kernel. Each batch then reads the terms at theta and
-    theta' and the Taylor kernel at c on the same indices. The estimate is
-    unbiased at every state, but the residuals grow with the distance from
-    c, so a chain that wanders far from its start reads more data per step.
+    whose sums G and H are taken before the first step in one pass over
+    blocks of the kernel, or reused from ``taylor_proxy``'s slot on the
+    target when an earlier run or predictor built them at the same start
+    with the same kernels. A long chain pays that pass once either way; the
+    reuse helps only repeated runs from one start. Each batch then reads
+    the terms at theta and theta' and the Taylor kernel at c on the same
+    indices. The estimate is unbiased at every state, but the residuals
+    grow with the distance from c, so a chain that wanders far from its
+    start reads more data per step.
 
     With ``compare_exact`` the exact full-data MH decision is evaluated for
     the same (theta', u) at every step and the count of decision mismatches
     is returned; the chain still follows the approximate decisions.
     """
     _check_has_data(target)
+    if T < 0:  # before the proxy's pass reads the data
+        raise ValueError(f"T must be >= 0, got {T!r}")
     all_idx = target.all_indices()
     theta0 = np.array(theta0, dtype=float)
-    proxy = TaylorProxy(target, theta0)
+    proxy = taylor_proxy(target, theta0)
 
     def step(state, t, gen):
         theta = state.theta

@@ -10,11 +10,12 @@ from bigbayes.consensus import ShardPlan, consensus_kde, sample_subposteriors_on
 from bigbayes.firefly import (init_firefly, resample_brightness, run_flymc,
                               scaled_gaussian_bound)
 from bigbayes.mcmc import ChainState, gaussian_random_walk, run_chain, run_gibbs
-from bigbayes.models import gaussian_iid_target
+from bigbayes.models import gaussian_iid_target, logistic_regression_target
 from bigbayes.prefetch import prefetch_run
 from bigbayes.rng import KeyedRng
 from bigbayes.sgld import MinibatchPlan, StepSchedule, run_sgld
 from bigbayes.simcluster import SimCluster
+from bigbayes.subsample import StopRuleConfig, run_adaptive_mh
 from bigbayes.weierstrass import WeierstrassState, weierstrass_run, xi_update
 
 XS = np.linspace(-1.0, 1.0, 6)
@@ -26,6 +27,14 @@ SUBS = [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)]
 
 def _unread(idx):
     raise AssertionError("read the data before checking the arguments")
+
+
+def _unread_taylor_target():
+    """A 50-datum logistic target whose Taylor kernel fails on any read."""
+    gen = np.random.default_rng(0)
+    target = logistic_regression_target(gen.standard_normal((50, 1)),
+                                        np.where(gen.random(50) < 0.5, 1.0, -1.0))
+    return replace(target, taylor_log_lik_terms=lambda idx, c, th=None: _unread(idx))
 
 
 def _weier_state(h=1.0):
@@ -88,6 +97,13 @@ CASES = {
         lambda: consensus_kde(np.zeros((2, 3, 1)), 1.0, n_out=-1, rng=np.random.default_rng(0)),
         "n_out must be >= 0", ["-1"]),
     "J contiguous": (lambda: ShardPlan.contiguous(10, 0), "J must be >= 1", ["0"]),
+    "J above n_data contiguous": (lambda: ShardPlan.contiguous(3, 5), "J must be <= n_data",
+                                  ["5", "3"]),
+    # a Taylor kernel that fails on any read shows the check comes before the proxy's pass
+    "T run_adaptive_mh": (
+        lambda: run_adaptive_mh(_unread_taylor_target(), PROP, np.zeros(1), -1,
+                                StopRuleConfig(), KeyedRng(0)),
+        "T must be >= 0", ["-1"]),
     "T run_sgld": (
         lambda: run_sgld(TARGET, np.zeros(1), -2, MinibatchPlan(6, 2, KeyedRng(0)),
                          StepSchedule(), KeyedRng(0)),

@@ -5,7 +5,8 @@ sends and delivers cluster messages, only ``mcmc``, ``prefetch`` and
 only by ``rng``'s lazy permutation and tested without numpy's hashing
 calls, FlyMC and the prefetch predictor draw nothing per datum, FlyMC
 allocates nothing per datum outside its debug check, the predictor reads
-gradients only through ``subsample``'s one estimator, and every
+gradients only through ``subsample``'s one estimator, only
+``subsample.taylor_proxy`` builds that estimator, and every
 module-level name that its module does not export is read somewhere in the
 package."""
 
@@ -326,6 +327,52 @@ def test_prefetch_estimates_only_through_the_subsample_proxy():
     # second log-likelihood-ratio estimator beside subsample.TaylorProxy
     assert gradient_kernel_references(PREFETCH.read_text()) == [], (
         "prefetch.py reads grad_log_lik_terms or taylor_log_lik_terms")
+
+
+def proxy_builds(source: str):
+    """(line, top-level owner) of every call of ``TaylorProxy`` in ``source``,
+    by name or as an attribute; the owner is the enclosing module-level
+    function or class, or None."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "TaylorProxy":
+                    found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def stray_proxy_builds(sources: dict):
+    """(module, line) of every ``TaylorProxy`` call in ``sources``, a dict of
+    module name to source, outside ``subsample.taylor_proxy``."""
+    return [(module, line) for module, source in sorted(sources.items())
+            for line, owner in proxy_builds(source)
+            if (module, owner) != ("subsample.py", "taylor_proxy")]
+
+
+def test_proxy_build_checker_flags_calls_planted_in_a_copy_of_the_package():
+    sources = {p.name: p.read_text() for p in MODULES}
+    cached = "    proxy = taylor_proxy(target, theta0)\n"
+    assert sources["subsample.py"].count(cached) == 1
+    start = sources["subsample.py"][:sources["subsample.py"].index(cached)].count("\n") + 1
+    sources["subsample.py"] = sources["subsample.py"].replace(
+        cached, "    proxy = TaylorProxy(target, theta0)\n")
+    assert stray_proxy_builds(sources) == [("subsample.py", start)]
+    sources["prefetch.py"] += ("\n\ndef _build(target, c):\n"
+                               "    return subsample.TaylorProxy(target, c)\n")
+    lines = sources["prefetch.py"].count("\n")
+    assert stray_proxy_builds(sources) == [("prefetch.py", lines), ("subsample.py", start)]
+
+
+def test_only_the_caching_function_builds_a_proxy():
+    # a sampler that built its own TaylorProxy would pay the O(N d^2) pass
+    # on every run instead of sharing the target's cached proxy
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert stray_proxy_builds(sources) == [], "TaylorProxy built outside taylor_proxy"
+    assert [owner for _, owner in proxy_builds(sources["subsample.py"])] == ["taylor_proxy"]
 
 
 def dead_private_names(sources: dict):

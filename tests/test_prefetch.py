@@ -20,7 +20,8 @@ from bigbayes.prefetch import (
 )
 from bigbayes.rng import KeyedRng
 from bigbayes.simcluster import SimCluster
-from bigbayes.subsample import TaylorProxy, llr_terms, mh_log_threshold
+from bigbayes.subsample import (StopRuleConfig, TaylorProxy, llr_terms, mh_log_threshold,
+                                run_adaptive_mh)
 
 
 def std_normal_target():
@@ -366,6 +367,26 @@ def test_predictor_reads_the_taylor_kernel_once_then_one_batch_per_call():
         assert reads["lik"] == [m] * calls
         assert sum(reads["taylor"]) == n + calls * m
     assert reads["grad"] == [] and max(reads["taylor"]) < n
+
+
+def test_a_predictor_after_a_subsampling_run_from_its_root_makes_no_pass():
+    # the run leaves its proxy on the target, and the predictor's first
+    # call finds it there: every Taylor read is then a batch of m
+    n, m, keys = 5000, 7, ["1", "01", "11", "011"]
+    reads = {"lik": [], "grad": [], "taylor": []}
+    target, theta, prop = logistic_setup(28, n)
+    target = counting_target(target, reads)
+    run_adaptive_mh(target, prop, theta, 5, StopRuleConfig(batch=20), KeyedRng(29))
+    assert sum(reads["taylor"]) > n  # the run made the pass
+    before = len(reads["taylor"])
+    predict = subsample_predictor(target, batch_size=m, seed=30)
+    tree = SpecTree(prop, theta, KeyedRng(31))
+    ps = [predict(tree, key[:-1], key) for key in keys]
+    assert reads["taylor"][before:] == [m] * len(keys)
+    # the same predictions as a predictor with a pass of its own
+    fresh = subsample_predictor(logistic_setup(28, n)[0], batch_size=m, seed=30)
+    tree = SpecTree(prop, theta, KeyedRng(31))
+    assert ps == [fresh(tree, key[:-1], key) for key in keys]
 
 
 def test_predictor_set_up_at_a_million_data_allocates_no_data_sized_array():

@@ -1,8 +1,11 @@
 import collections
+import copy
+import gc
 import itertools
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from bigbayes.subsample import (
     mh_log_threshold,
     pilot_c_bound,
     run_adaptive_mh,
+    taylor_proxy,
     ttest_should_stop,
 )
 
@@ -854,18 +858,22 @@ def test_a_run_reads_the_gradients_at_its_start_once_in_blocks(monkeypatch):
     monkeypatch.setattr(target, "grad_log_lik_terms", counting)
     theta0 = np.array([0.8])
     cfg = StopRuleConfig(batch=20, epsilon=0.05, rule="ttest")
+    m_total = 0
     for seed in (37, 38):
-        calls.clear()
         _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.3), theta0, 30, cfg,
                                     KeyedRng(seed))
-        # the set-up pass: unit-step ranges, in order, that cover the data once
-        setup = list(itertools.takewhile(lambda call: isinstance(call[0], range), calls))
-        assert len(setup) > 1 and all(len(idx) < n for idx, _ in setup)
-        assert np.array_equal(np.concatenate([np.asarray(idx) for idx, _ in setup]),
-                              np.arange(n))
-        # then one call per batch, at the same indices the ratios read
-        assert sum(len(idx) for idx, _ in calls[len(setup):]) == m_used.sum() < 30 * n
-        assert all(np.array_equal(th, theta0) for _, th in calls)
+        m_total += int(m_used.sum())
+    # one set-up pass for both runs, which share its proxy: unit-step
+    # ranges, in order, that cover the data once
+    setup = list(itertools.takewhile(lambda call: isinstance(call[0], range), calls))
+    assert len(setup) > 1 and all(len(idx) < n for idx, _ in setup)
+    assert np.array_equal(np.concatenate([np.asarray(idx) for idx, _ in setup]),
+                          np.arange(n))
+    # then one call per batch of either run, at the same indices the ratios read
+    batches = calls[len(setup):]
+    assert not any(isinstance(idx, range) for idx, _ in batches)
+    assert sum(len(idx) for idx, _ in batches) == m_total < 60 * n
+    assert all(np.array_equal(th, theta0) for _, th in calls)
 
 
 def test_a_run_reads_the_taylor_kernel_at_its_start_once_in_blocks(monkeypatch):
@@ -972,3 +980,95 @@ def test_the_proxy_pass_at_a_million_data_allocates_no_data_sized_array():
         tracemalloc.stop()
     assert np.all(np.linalg.eigvalsh(proxy.hess_sum) < 0.0)  # log sigma is concave
     assert peak < 1_000_000
+
+
+# -- the proxy built once per (target, centre) ---------------------------------
+
+def count_passes(target):
+    """Wrap ``target.taylor_log_lik_terms``; returns the list of centres of
+    the passes it serves (a pass starts with a sums call at index 0)."""
+    passes = []
+    taylor = target.taylor_log_lik_terms
+
+    def counting(idx, c, th=None):
+        if th is None:
+            if isinstance(idx, range) and idx.start == 0:
+                passes.append(np.array(c))
+            return taylor(idx, c)
+        return taylor(idx, c, th)
+
+    target.taylor_log_lik_terms = counting
+    return passes
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9000))
+def test_a_cached_proxy_equals_a_fresh_one_bit_for_bit(data, n):
+    # centres drawn from two, so the cache both hits and misses
+    target = logistic_target(n, data.draw(st.integers(0, 2**32 - 1)), d=2)
+    pair = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)
+    centres = [np.array(data.draw(pair)) for _ in range(2)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        centre = centres[data.draw(st.integers(0, 1))]
+        cached, fresh = taylor_proxy(target, centre), TaylorProxy(target, centre)
+        assert cached.centre.tobytes() == fresh.centre.tobytes()
+        assert cached.grad_sum.tobytes() == fresh.grad_sum.tobytes()
+        assert cached.hess_sum.tobytes() == fresh.hess_sum.tobytes()
+        theta, theta_new = np.array(data.draw(pair)), np.array(data.draw(pair))
+        assert cached.llr_sum(theta, theta_new) == fresh.llr_sum(theta, theta_new)
+        idx = np.random.default_rng(n).choice(n, size=min(n, 50), replace=False)
+        assert (llr_terms(cached.target, idx, theta, theta_new).tobytes()
+                == llr_terms(fresh.target, idx, theta, theta_new).tobytes())
+
+
+@pytest.mark.parametrize("change", ["centre", "log_lik_terms", "grad_log_lik_terms",
+                                    "taylor_log_lik_terms", "replace", "copy"])
+def test_a_new_centre_kernel_or_target_makes_exactly_one_new_pass(change):
+    target = logistic_target(5000, 43, d=2)
+    passes = count_passes(target)
+    centre = np.array([0.4, -0.1])
+    first = taylor_proxy(target, centre)
+    assert taylor_proxy(target, centre.copy()) is first and len(passes) == 1
+    if change == "centre":
+        centre = np.nextafter(centre, 1.0)  # one ulp is a new centre
+    elif change == "replace":
+        target = replace(target)
+    elif change == "copy":
+        # the copied slot's residual closure reads the original's kernels
+        target = copy.copy(target)
+    else:
+        kernel = getattr(target, change)
+        setattr(target, change, lambda *args: kernel(*args))
+    second = taylor_proxy(target, centre)
+    assert second is not first and len(passes) == 2
+    assert taylor_proxy(target, centre) is second and len(passes) == 2
+    assert second.centre.tobytes() == centre.tobytes()
+
+
+def test_a_second_run_from_the_same_start_makes_no_pass():
+    target = logistic_target(5000, 44, d=2)
+    passes = count_passes(target)
+    prop, theta0 = gaussian_random_walk(0.05), np.array([0.9, 1.1])
+    cfg = StopRuleConfig(batch=20, epsilon=0.05, rule="ttest")
+    first = run_adaptive_mh(target, prop, theta0, 20, cfg, KeyedRng(45))
+    assert len(passes) == 1
+    again = run_adaptive_mh(target, prop, theta0.copy(), 20, cfg, KeyedRng(45))
+    assert len(passes) == 1
+    # the shared proxy gives the chain a fresh target's proxy gives
+    fresh = run_adaptive_mh(logistic_target(5000, 44, d=2), prop, theta0, 20, cfg,
+                            KeyedRng(45))
+    for run in (first, again):
+        assert run[0].draws.tobytes() == fresh[0].draws.tobytes()
+        assert np.array_equal(run[1], fresh[1])
+    run_adaptive_mh(target, prop, theta0 + 0.01, 5, cfg, KeyedRng(46))
+    assert len(passes) == 2  # a new start is a new centre
+
+
+def test_a_target_holding_a_cached_proxy_is_collected():
+    # the slot makes a cycle target -> proxy -> residual closure -> target
+    target = logistic_target(100, 47)
+    taylor_proxy(target, np.zeros(1))
+    ref = weakref.ref(target)
+    del target
+    gc.collect()
+    assert ref() is None
