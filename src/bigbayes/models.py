@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 FD_REL_STEP = 1e-6
+# K = sup |f'''| / 6 for f = log sigma: |f'''| = s (1 - s) |1 - 2 s|, with
+# s = sigma(z), peaks at 1 / (6 sqrt 3), where (s - 1/2)^2 = 1/12
+_LOG_SIGMOID_K = 1.0 / (36.0 * math.sqrt(3.0))
 # terms per differenced block in the gradient fallback: its scratch memory
 # beyond the (m, d) result stays a few of these blocks' worth
 FD_BLOCK = 512
@@ -148,14 +151,19 @@ class FactoredTarget:
     Taylor information at a centre c, each call from one gather. With
     g_n = grad l_n(c) and H_n the Hessian of l_n at c,
     ``taylor_log_lik_terms(idx, c)`` returns the batch's sums
-    ``(sum g_n, sum H_n)``, of shapes (d,) and (d, d), and
+    ``(sum g_n, sum H_n, sum R_n)``, of shapes (d,), (d, d) and (d, d), and
     ``taylor_log_lik_terms(idx, c, theta)``, for theta of shape (d,) or
     (k, d), returns the (m,) or (k, m) increments
     q_n(theta) = g_n . (theta - c) + (theta - c)^T H_n (theta - c) / 2 of
-    each term's quadratic model. It evaluates no likelihood term. The
-    logistic and 1-D Gaussian targets give it in closed form; a target
-    without it has no fallback, and ``subsample.TaylorProxy`` then builds
-    its first-order form.
+    each term's quadratic model. It evaluates no likelihood term. R_n
+    bounds the model's remainder: with v = theta - c, every theta must
+    satisfy |l_n(theta) - l_n(c) - q_n(theta)| <= ||v|| v^T R_n v, so R_n
+    is symmetric positive semidefinite, and 0 for a term that is exactly
+    quadratic. ``subsample.TaylorProxy`` sums it into a bound on its
+    residuals that lets a step decide with no data read. The logistic and
+    1-D Gaussian targets give the kernel in closed form; a target without
+    it has no fallback, and ``subsample.TaylorProxy`` then builds its
+    first-order form, which has no remainder bound.
 
     A batch of term indices is an array with an integer dtype or a
     ``range``, and every batch kernel, a user's included, must accept both.
@@ -181,9 +189,9 @@ class FactoredTarget:
 
     def __post_init__(self):
         if self.dim <= 0:
-            raise ValueError("dim must be positive")
+            raise ValueError(f"dim must be positive, got {self.dim!r}")
         if self.n_data < 0:
-            raise ValueError("n_data must be nonnegative")
+            raise ValueError(f"n_data must be nonnegative, got {self.n_data!r}")
         if self.log_lik_terms is None and self.n_data > 0:
             raise ValueError("need log_lik_terms")
         if self.grad_log_prior is None:
@@ -271,11 +279,11 @@ def gaussian_iid_target(xs, prior_var: float = 1.0, lik_var: float = 1.0) -> Fac
         return ((_take(xs, _rows(idx, len(xs))) - th[0]) / lik_var)[:, None]
 
     def taylor_log_lik_terms(idx, c, th=None):
-        # g_n = (x_n - c) / v and H_n = -1 / v, so the model is exact
+        # g_n = (x_n - c) / v and H_n = -1 / v, so the model is exact: R = 0
         g = _take(xs, _rows(idx, len(xs))) - c[0]
         g /= lik_var
         if th is None:
-            return np.array([g.sum()]), np.array([[-len(g) / lik_var]])
+            return np.array([g.sum()]), np.array([[-len(g) / lik_var]]), np.zeros((1, 1))
         step = th[..., :1] - c[0]
         return step * g - 0.5 / lik_var * step ** 2
 
@@ -306,7 +314,10 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
     no reference to the caller's ``X`` or ``y``: changing them afterwards
     does not change the target. With f = log sigma, the term's gradient is
     f'(z_n) a_n and its Hessian f''(z_n) a_n a_n^T, so the margins at a
-    centre give ``taylor_log_lik_terms`` from one gather.
+    centre give ``taylor_log_lik_terms`` from one gather. Its remainder
+    term is R_n = K ||a_n|| a_n a_n^T with K = sup |f'''| / 6 =
+    1 / (36 sqrt 3): by Lagrange's form the remainder at theta is at most
+    K |a_n . v|^3, v = theta - c, and |a_n . v|^3 <= ||a_n|| ||v|| (a_n . v)^2.
     """
     X, y = _check_logistic_data(X, y)
     n, d = X.shape
@@ -338,7 +349,10 @@ def logistic_regression_target(X, y, prior_scale: float = 10.0) -> FactoredTarge
         h = s - 1.0
         h *= s                            # f''(z) = -sigma(z) sigma(-z)
         if th is None:
-            return a @ s, (a * h) @ a.T
+            w = np.einsum("ij,ij->j", a, a)
+            np.sqrt(w, out=w)
+            w *= _LOG_SIGMOID_K               # K ||a_n||
+            return a @ s, (a * h) @ a.T, (a * w) @ a.T
         u = (th - c) @ a                  # a_n . (theta - c)
         steps = h * u
         steps *= 0.5

@@ -17,7 +17,9 @@ order, and predictive prefetching (Angelino et al. 2014) asks a predictor.
 uniform u is known once its node is materialized (``SpecTree.us``), so it
 returns the confidence of a subsampled t-test that the step accepts, on a
 batch of the package's one estimator, ``subsample.TaylorProxy``'s
-second-order control-variate residuals. Its proxy is centred at the run's
+second-order control-variate residuals; where the proxy's remainder bound
+settles the step (``subsample.TaylorProxy.certify``) it returns the exact
+decision, 0 or 1, and reads no data. Its proxy is centred at the run's
 start (the first root it sees) and comes from ``subsample.taylor_proxy``,
 which runs the O(N d^2) pass of the target's Taylor kernel only if no
 proxy with that centre and those kernels is cached on the target: a
@@ -181,6 +183,9 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     or residuals with no spread, as on a Gaussian target whose proxy is
     exact) p is the indicator [mean(r) > psi'], the exact decision; a
     single residual out of N > 1 has no spread to read, and predicts 1/2.
+    Before any of this, ``TaylorProxy.certify`` asks whether the proxy's
+    remainder bound settles the step; if it does, p is that exact
+    decision, 1.0 or 0.0, and the call draws and reads nothing.
     A NaN estimate predicts a rejection, p = 0, as ``mh_step`` rejects a
     non-finite density. With no data (N = 0) p is the exact decision.
 
@@ -191,9 +196,10 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
     blocked pass of the target's Taylor kernel (its gradient kernel for a
     first-order proxy), so no N-sized array is made. So a predictor beside
     an ``ss`` run from the same start makes no pass; one long run of a
-    single predictor pays the pass once either way. Every call then reads
-    exactly m rows of ``log_lik_terms``, the terms at theta and theta' in
-    one gather, and the Taylor kernel at c on the same m indices. A
+    single predictor pays the pass once either way. Every call that the
+    proxy does not certify then reads exactly m rows of ``log_lik_terms``,
+    the terms at theta and theta' in one gather, and the Taylor kernel at c
+    on the same m indices; a certified call reads none. A
     predictor reused for another run keeps its first centre: still
     unbiased, but less accurate if the new run starts elsewhere. Predictor
     work is not charged to the simulated cluster's clock.
@@ -219,7 +225,9 @@ def subsample_predictor(target, batch_size: int = 30, seed: int = 0) -> Callable
         if proxy is None:
             proxy = taylor_proxy(target, tree.root_theta)
         psi = mh_log_threshold(u, theta, theta_new, tree.proposal, target.log_prior, n)
-        shifted = psi - proxy.llr_sum(theta, theta_new) / n
+        settled, shifted = proxy.certify(theta, theta_new, psi)
+        if settled is not None:
+            return float(settled)
         idx = gen.choice(n, size=m, replace=False)
         r = llr_terms(proxy.target, idx, theta, theta_new)
         mean = float(r.sum()) / m

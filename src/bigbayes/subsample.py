@@ -1,6 +1,9 @@
 """Approximate Metropolis-Hastings with adaptive data-subsampling stopping rules.
 
-Each test reads likelihood terms in batches that are consecutive slices of
+A step first asks its control variate (below) whether a deterministic bound
+on the residuals settles the exact full-data decision; where it does, the
+step takes that decision and reads no data (``m_used`` 0). Otherwise each
+test reads likelihood terms in batches that are consecutive slices of
 its own lazily drawn order of the data (``rng._LazyPermutation``, the
 shuffled order SGLD's epochs read: blocks of ``batch``, then doubling, so
 every prefix is a uniform sample without replacement), until either a
@@ -36,6 +39,20 @@ the first-order proxy (H = 0, g_n from the gradient kernel). Near c the
 residuals are third order in the move (a first-order proxy leaves
 second-order ones), so a step reads a small share of the data; a chain
 that wanders far from its start reads more, but stays unbiased.
+
+The second-order proxy also bounds its residuals. The Taylor kernel's pass
+sums R = sum_n R_n beside G and H, where |l_n(theta) - l_n(c) - q_n(theta)|
+<= ||v|| v^T R_n v for v = theta - c (for logistic terms,
+R_n = K ||a_n|| a_n a_n^T by Lagrange's remainder), so
+|sum_n r_n| <= B = ||v'|| v'^T R v' + ||v|| v^T R v. With
+gap = N psi - L, a step with |gap| > B (plus a floating-point margin) has
+the exact decision, accept iff gap < 0, at O(d^2) cost and no read: the
+certificate of Cornish et al., "Scalable Metropolis-Hastings for exact
+Bayesian inference with large datasets" (ICML 2019), applied to one MH
+test (``TaylorProxy.certify``). Such a step draws nothing after its
+proposal and uniform, and every step has its own keyed stream, so no later
+step shifts: a chain differs from one that runs the rule at every step
+only where the rule's decision was the wrong one.
 
 The t-test's statistic is t = (mean - psi) / sigma, the distance of the
 running mean from the threshold in standard errors (sampling without
@@ -95,6 +112,8 @@ _BRACKET_EVALS = 30
 # samplers in the benchmark's processes by about 6%. Scratch memory is
 # O(block d).
 _PASS_BLOCK = 4096
+# Relative floating-point margin of a certified decision (``TaylorProxy.certify``).
+CERT_MARGIN = 1e-9
 
 
 class TaylorProxy:
@@ -119,17 +138,23 @@ class TaylorProxy:
     made. N times a batch mean of residuals plus ``llr_sum`` estimates the
     full-data ratio without bias, for every c.
 
+    ``rem_sum`` is the kernel's third sum, R = sum_n R_n, from the same
+    pass: ``remainder_bound`` turns it into a bound on |sum_n r_n|, and
+    ``certify`` into exact decisions that read no data.
+
     A target without ``taylor_log_lik_terms`` gets the first-order form:
     q_n(theta) = g_n . (theta - c), g_n from ``grad_log_lik_terms`` in both
-    the pass and the residual target, and H = 0.
+    the pass and the residual target, and H = 0. It has no remainder bound
+    (``rem_sum`` is None), so it certifies no step.
     """
 
     def __init__(self, target: FactoredTarget, centre):
         centre = np.array(centre, dtype=float)
         n, d = target.n_data, target.dim
         blocks = (range(s, min(s + _PASS_BLOCK, n)) for s in range(0, n, _PASS_BLOCK))
-        self.centre = centre
+        self.centre, self.n_data = centre, n
         self.grad_sum, self.hess_sum = np.zeros(d), np.zeros((d, d))
+        self.rem_sum = None
         if target.taylor_log_lik_terms is None:
             for b in blocks:
                 self.grad_sum += target.grad_log_lik_terms(b, centre).sum(axis=0)
@@ -137,10 +162,12 @@ class TaylorProxy:
             def model(idx, th):
                 return (th - centre) @ target.grad_log_lik_terms(idx, centre).T
         else:
+            self.rem_sum = np.zeros((d, d))
             for b in blocks:
-                g, h = target.taylor_log_lik_terms(b, centre)
+                g, h, r = target.taylor_log_lik_terms(b, centre)
                 self.grad_sum += g
                 self.hess_sum += h
+                self.rem_sum += r
 
             def model(idx, th):
                 return target.taylor_log_lik_terms(idx, centre, th)
@@ -159,6 +186,49 @@ class TaylorProxy:
         (theta' - theta) . [G + H ((theta + theta') / 2 - c)]."""
         mid = 0.5 * (theta + theta_new) - self.centre
         return float((theta_new - theta) @ (self.grad_sum + self.hess_sum @ mid))
+
+    def remainder_bound(self, theta, theta_new) -> float:
+        """B(theta, theta') = ||v'|| v'^T R v' + ||v|| v^T R v, with
+        v = theta - c and v' = theta' - c, from the kernel's remainder sum
+        R = sum_n R_n; at least sum_n |r_n| >= |sum_n r_n|, since each
+        residual is the difference of two remainders. inf for a first-order
+        proxy, which has no bound."""
+        if self.rem_sum is None:
+            return math.inf
+        v, w = theta - self.centre, theta_new - self.centre
+        return (math.sqrt(w @ w) * float(w @ self.rem_sum @ w)
+                + math.sqrt(v @ v) * float(v @ self.rem_sum @ v))
+
+    def certify(self, theta, theta_new, psi: float):
+        """(accept, shifted) for a step theta -> theta' at the threshold psi.
+
+        ``shifted`` = psi - ``llr_sum`` / N is the threshold that the
+        residuals' mean is tested against. ``accept`` is the exact
+        full-data decision, sum_n [l_n(theta') - l_n(theta)] > N psi, when
+        ``remainder_bound`` settles it, else None: with
+        gap = N psi - ``llr_sum``, the residual sum lies within B of 0, so
+        |gap| > B decides, and the step accepts iff gap < 0. It reads no
+        data.
+
+        |gap| must exceed B by the floating-point margin ``CERT_MARGIN``
+        (|gap| + |llr_sum| + B + N). The relative part covers the rounding
+        of the values compared. The N part covers the rounding of sums over
+        N terms, which grows with N: the pass's G, H and R, and the
+        full-data sum of ratios that exact MH compares. A sum of N terms of
+        size at most M rounds by at most N M u (u = 2^-53) times a factor
+        below 5000 at N <= 1e6: log2 N for numpy's pairwise sums, about
+        4096 + N / 4096 for the pass's blocks. So 1e-9 N covers terms up to
+        about 2e3 in the pass, where M is a datum's share of L (about 1e-2
+        for the benchmark's moves), and up to about 4e5 in the ratio sum.
+        """
+        n = self.n_data
+        lam = self.llr_sum(theta, theta_new)
+        shifted = psi - lam / n
+        bound = self.remainder_bound(theta, theta_new)
+        gap = n * psi - lam
+        if abs(gap) > bound + CERT_MARGIN * (abs(gap) + abs(lam) + bound + n):
+            return gap < 0.0, shifted
+        return None, shifted
 
 
 _KERNELS = ("log_lik_terms", "grad_log_lik_terms", "taylor_log_lik_terms")
@@ -219,8 +289,10 @@ class StopRuleConfig:
 
     ``c_bound`` is the C of Hoeffding and Bernstein: a bound on the range
     max_n |r_n| of the control-variate residuals the rules average, given
-    as a number or as a function of (theta, theta'). None estimates it with
-    ``pilot_c_bound``, which makes the bound uncertified.
+    as a number or as a function of (theta, theta'). A number must be
+    positive; a step that the proxy certifies never reads C, so a bad one is
+    rejected here, not at the first step that runs a rule. None estimates it
+    with ``pilot_c_bound``, which makes the bound uncertified.
     """
 
     batch: int = 10
@@ -243,6 +315,9 @@ class StopRuleConfig:
             raise ValueError(f"p must exceed 1, got {self.p!r}")
         if not self.geometric >= 1.0:
             raise ValueError(f"geometric growth factor must be >= 1, got {self.geometric!r}")
+        c = self.c_bound
+        if c is not None and not callable(c) and not c > 0.0:
+            raise ValueError(f"c_bound must be positive, got {c!r}")
 
 
 def mh_log_threshold(u: float, theta, theta_new, proposal: ProposalDist,
@@ -251,7 +326,7 @@ def mh_log_threshold(u: float, theta, theta_new, proposal: ProposalDist,
     (q(theta|theta') pi0(theta'))], with the prior and Hastings terms
     formed by ``mcmc.mh_log_alpha``."""
     if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0,1)")
+        raise ValueError(f"u must lie in (0,1), got {u!r}")
     log_prior_ratio = float(log_prior(theta_new)) - float(log_prior(theta))
     return (math.log(u) - mh_log_alpha(log_prior_ratio, proposal, theta, theta_new)) / N
 
@@ -382,7 +457,7 @@ def concentration_should_stop(acc: LLRAccumulator, psi: float, N: int,
                               c_value: float):
     """Concentration-inequality stopping rule; returns (stop, c_m)."""
     if c_value <= 0.0:
-        raise ValueError("C bound must be positive")
+        raise ValueError(f"C bound must be positive, got {c_value!r}")
     if acc.m < 1 or (cfg.rule == "bernstein" and acc.m < 2):
         raise ValueError("not enough terms seen for the rule")
     delta = _delta(cfg, acc.m, batches_seen)
@@ -455,15 +530,18 @@ def _check_has_data(target: FactoredTarget):
 
 
 def _subsampled_decision(target, proposal, theta, cfg, gen, proxy):
-    """(theta', psi, accept, m_used) of one step, testing ``proxy``'s
-    residuals against the threshold less the proxy's share,
-    psi - ``proxy.llr_sum`` / N; draws follow ``mcmc.mh_propose``, then the
-    order's first block at the first read, then (Hoeffding and Bernstein
-    without a given C) the pilot at the first stop check, then any later
-    blocks as they are read."""
+    """(theta', psi, accept, m_used) of one step: the exact decision with
+    m_used = 0 where ``proxy.certify`` settles it, else the rule's, testing
+    ``proxy``'s residuals against the threshold less the proxy's share,
+    psi - ``proxy.llr_sum`` / N. Draws follow ``mcmc.mh_propose``, then, for
+    a step the rule decides, the order's first block at the first read,
+    then (Hoeffding and Bernstein without a given C) the pilot at the first
+    stop check, then any later blocks as they are read."""
     theta_new, u = mh_propose(proposal, theta, gen)
     psi = mh_log_threshold(u, theta, theta_new, proposal, target.log_prior, target.n_data)
-    shifted = psi - proxy.llr_sum(theta, theta_new) / target.n_data
+    accept, shifted = proxy.certify(theta, theta_new, psi)
+    if accept is not None:
+        return theta_new, psi, accept, 0
     accept, m_used = _run_stopping_rule(proxy.target, theta, theta_new, shifted, cfg, gen)
     return theta_new, psi, accept, m_used
 
@@ -485,6 +563,11 @@ def run_adaptive_mh(target, proposal, theta0, T: int, cfg: StopRuleConfig,
     indices. The estimate is unbiased at every state, but the residuals
     grow with the distance from c, so a chain that wanders far from its
     start reads more data per step.
+
+    A step whose decision the proxy's remainder bound settles
+    (``TaylorProxy.certify``) takes the exact full-data decision and reads
+    no data: ``m_used`` 0 marks such a certified, exact step. A first-order
+    proxy certifies none.
 
     With ``compare_exact`` the exact full-data MH decision is evaluated for
     the same (theta', u) at every step and the count of decision mismatches

@@ -10,12 +10,12 @@ from bigbayes.consensus import ShardPlan, consensus_kde, sample_subposteriors_on
 from bigbayes.firefly import (init_firefly, resample_brightness, run_flymc,
                               scaled_gaussian_bound)
 from bigbayes.mcmc import ChainState, gaussian_random_walk, run_chain, run_gibbs
-from bigbayes.models import gaussian_iid_target, logistic_regression_target
+from bigbayes.models import FactoredTarget, gaussian_iid_target, logistic_regression_target
 from bigbayes.prefetch import prefetch_run
 from bigbayes.rng import KeyedRng
 from bigbayes.sgld import MinibatchPlan, StepSchedule, run_sgld
 from bigbayes.simcluster import SimCluster
-from bigbayes.subsample import StopRuleConfig, run_adaptive_mh
+from bigbayes.subsample import StopRuleConfig, mh_log_threshold, run_adaptive_mh
 from bigbayes.weierstrass import WeierstrassState, weierstrass_run, xi_update
 
 XS = np.linspace(-1.0, 1.0, 6)
@@ -104,6 +104,18 @@ CASES = {
         lambda: run_adaptive_mh(_unread_taylor_target(), PROP, np.zeros(1), -1,
                                 StopRuleConfig(), KeyedRng(0)),
         "T must be >= 0", ["-1"]),
+    "u mh_log_threshold": (
+        lambda: mh_log_threshold(1.5, np.zeros(1), np.ones(1), PROP, TARGET.log_prior, 6),
+        "u must lie in (0,1)", ["1.5"]),
+    "dim FactoredTarget": (lambda: FactoredTarget(dim=0, n_data=0, log_prior=_unread),
+                           "dim must be positive", ["0"]),
+    "n_data FactoredTarget": (lambda: FactoredTarget(dim=1, n_data=-3, log_prior=_unread),
+                              "n_data must be nonnegative", ["-3"]),
+    # rejected when built: a step the proxy certifies never reads C
+    "c_bound StopRuleConfig": (lambda: StopRuleConfig(rule="hoeffding", c_bound=-0.5),
+                               "c_bound must be positive", ["-0.5"]),
+    "c_bound zero StopRuleConfig": (lambda: StopRuleConfig(rule="bernstein", c_bound=0.0),
+                                    "c_bound must be positive", ["0.0"]),
     "T run_sgld": (
         lambda: run_sgld(TARGET, np.zeros(1), -2, MinibatchPlan(6, 2, KeyedRng(0)),
                          StepSchedule(), KeyedRng(0)),

@@ -21,7 +21,7 @@ from bigbayes.prefetch import (
 from bigbayes.rng import KeyedRng
 from bigbayes.simcluster import SimCluster
 from bigbayes.subsample import (StopRuleConfig, TaylorProxy, llr_terms, mh_log_threshold,
-                                run_adaptive_mh)
+                                run_adaptive_mh, taylor_proxy)
 
 
 def std_normal_target():
@@ -272,9 +272,13 @@ def test_prediction_is_the_t_tests_normal_confidence_on_its_batch():
         p = predict(tree, key[:-1], key)
         theta, theta_new = tree.state_for_prefix(key[:-1]), tree.materialize(key).theta
         u = tree.us[len(key) - 1]
+        psi = mh_log_threshold(u, theta, theta_new, prop, target.log_prior, n)
+        settled, _ = proxy.certify(theta, theta_new, psi)
+        if settled is not None:  # certified: the exact decision, with no draw
+            assert p == float(settled)
+            continue
         r = llr_terms(proxy.target, gen.choice(n, size=m, replace=False), theta, theta_new)
-        shifted = (mh_log_threshold(u, theta, theta_new, prop, target.log_prior, n)
-                   - proxy.llr_sum(theta, theta_new) / n)
+        shifted = psi - proxy.llr_sum(theta, theta_new) / n
         se = r.std(ddof=1) / math.sqrt(m) * math.sqrt((n - m) / (n - 1))
         want = stats.norm.cdf((r.mean() - shifted) / se)
         assert p == pytest.approx(want, rel=1e-6, abs=1e-12)
@@ -355,17 +359,19 @@ def test_predictor_reads_the_gradients_once_then_one_batch_per_call():
 
 def test_predictor_reads_the_taylor_kernel_once_then_one_batch_per_call():
     # every call reads exactly batch_size rows of log_lik_terms, and the
-    # Taylor kernel at the same rows; the first call also makes the pass
+    # Taylor kernel at the same rows, or none if the proxy certifies the
+    # node; the first call also makes the pass
     n, m = 40_000, 7
     reads = {"lik": [], "grad": [], "taylor": []}
     target = counting_target(logistic_setup(26, n)[0], reads)
     predict = subsample_predictor(target, batch_size=m)
     assert reads == {"lik": [], "grad": [], "taylor": []}
     tree = make_tree(27, np.zeros(3))
-    for calls, key in enumerate(["1", "01", "11", "011"], start=1):
+    for key in ["1", "01", "11", "011"]:
+        before = len(reads["lik"])
         predict(tree, key[:-1], key)
-        assert reads["lik"] == [m] * calls
-        assert sum(reads["taylor"]) == n + calls * m
+        assert reads["lik"][before:] in ([], [m])
+        assert sum(reads["taylor"]) == n + len(reads["lik"]) * m
     assert reads["grad"] == [] and max(reads["taylor"]) < n
 
 
@@ -377,12 +383,13 @@ def test_a_predictor_after_a_subsampling_run_from_its_root_makes_no_pass():
     target, theta, prop = logistic_setup(28, n)
     target = counting_target(target, reads)
     run_adaptive_mh(target, prop, theta, 5, StopRuleConfig(batch=20), KeyedRng(29))
-    assert sum(reads["taylor"]) > n  # the run made the pass
+    assert reads["taylor"][:2] == [4096, n - 4096]  # the run made the pass
     before = len(reads["taylor"])
     predict = subsample_predictor(target, batch_size=m, seed=30)
     tree = SpecTree(prop, theta, KeyedRng(31))
     ps = [predict(tree, key[:-1], key) for key in keys]
-    assert reads["taylor"][before:] == [m] * len(keys)
+    # a batch of m, or no read at a node the proxy certifies
+    assert reads["taylor"][before:] == [m] * len(reads["taylor"][before:])
     # the same predictions as a predictor with a pass of its own
     fresh = subsample_predictor(logistic_setup(28, n)[0], batch_size=m, seed=30)
     tree = SpecTree(prop, theta, KeyedRng(31))
@@ -597,3 +604,35 @@ def test_leak_check_catches_a_dropped_evaluated_node(monkeypatch):
         prefetch_run(std_normal_target(), gaussian_random_walk(1.0), np.zeros(1), 50, 4,
                      KeyedRng(5))
     assert str(err.value) == f"evaluated nodes leaked: {dropped}"
+
+
+def test_a_certified_node_reads_no_rows_and_predicts_the_exact_decision():
+    # a node the proxy's remainder bound settles is predicted 0 or 1, the
+    # step's exact decision, with no draw and no read; any other reads one
+    # batch of m
+    n, m = 1000, 7
+    reads = {"lik": [], "grad": [], "taylor": []}
+    plain, theta, prop = logistic_setup(57, n)
+    target = counting_target(logistic_setup(57, n)[0], reads)
+    proxy = taylor_proxy(target, theta)  # the pass; the predictor's centre is its root
+    reads["taylor"].clear()
+    predict = subsample_predictor(target, batch_size=m, seed=58)
+    wide = replace(prop, sample=lambda th, g: th + 4.0 * (prop.sample(th, g) - th))
+    certified = 0
+    for seed in range(12):
+        tree = SpecTree(wide, theta, KeyedRng(seed))
+        for key in ["1", "01", "11"]:
+            before = len(reads["lik"]), len(reads["taylor"])
+            p = predict(tree, key[:-1], key)
+            parent, node = tree.state_for_prefix(key[:-1]), tree.materialize(key).theta
+            psi = mh_log_threshold(tree.us[len(key) - 1], parent, node, tree.proposal,
+                                   plain.log_prior, n)
+            settled = proxy.certify(parent, node, psi)[0]
+            batches = reads["lik"][before[0]:], reads["taylor"][before[1]:]
+            if settled is None:
+                assert batches == ([m], [m])
+                continue
+            certified += 1
+            assert batches == ([], [])
+            assert p == float(settled) == exact_decision(plain, tree, key[:-1], key)[0]
+    assert 0 < certified < 36

@@ -16,7 +16,7 @@ from scipy import stats
 
 from bigbayes import rng as rng_module
 from bigbayes import subsample
-from bigbayes.mcmc import gaussian_random_walk, mh_propose
+from bigbayes.mcmc import gaussian_random_walk, mh_propose, run_mh
 from bigbayes.models import FactoredTarget, gaussian_iid_target, logistic_regression_target
 from bigbayes.rng import KeyedRng, _LazyPermutation
 from bigbayes.special import betainc_regularized, student_t_cdf, student_t_sf
@@ -484,7 +484,9 @@ def test_tiny_epsilon_recovers_exact_decisions():
     buf, m_used, disagreements = run_adaptive_mh(target, prop, np.zeros(1), 300,
                                                  cfg, KeyedRng(7), compare_exact=True)
     assert disagreements == 0
-    assert np.all(m_used == 40)  # residuals with spread: stops only at exhaustion
+    # residuals with spread: the rule stops only at exhaustion, unless the
+    # proxy's remainder bound certifies the step, which then reads nothing
+    assert np.all(np.isin(m_used, (0, 40)))
 
 
 # Above 4 (10 + 1024), so an order drawn in blocks of 10 is drawn lazily.
@@ -546,8 +548,10 @@ def test_step_batches_go_through_the_module_llr_update(monkeypatch):
 
 @pytest.mark.parametrize("t", range(6))
 def test_lazy_step_reads_a_distinct_prefix_of_its_lazy_order(monkeypatch, t):
-    # the gradient kernel is not the recorded one, so only the ratios' reads show
-    target = logistic_target(LAZY_N, 20, d=5)
+    # the gradient kernel is not the recorded one, so only the ratios' reads
+    # show; the proxy is first order, which certifies no step, so every step
+    # reads its order
+    target = first_order(logistic_target(LAZY_N, 20, d=5))
     read = record_reads(monkeypatch, target)
     prop = gaussian_random_walk(0.1)
     cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
@@ -813,7 +817,8 @@ def test_gaussian_residuals_decide_at_the_first_batch_as_exact_mh_does():
     buf, m_used, disagreements = run_adaptive_mh(target, gaussian_random_walk(0.1), theta0,
                                                  200, cfg, KeyedRng(35), compare_exact=True)
     assert disagreements == 0
-    assert np.all(m_used == 10)
+    # the rule's first batch, or no read where R = 0 certifies the step
+    assert np.all(np.isin(m_used, (0, 10)))
     assert 0.0 < buf.acceptance_rate < 1.0
 
 
@@ -935,7 +940,7 @@ def test_taylor_kernel_curvature_matches_differenced_gradients(data):
     v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
     idx = np.arange(50)
     steps = target.taylor_log_lik_terms(idx, c, np.array([c + v, c - v]))
-    grad_sum, hess_sum = target.taylor_log_lik_terms(idx, c)
+    grad_sum, hess_sum, _ = target.taylor_log_lik_terms(idx, c)
     curv = steps[0] + steps[1]      # v^T H_n v: the odd first-order parts cancel
     slope = 0.5 * (steps[0] - steps[1])  # g_n . v
     h = 1e-5
@@ -962,7 +967,8 @@ def test_gaussian_concentration_rules_stop_at_their_first_batch(rule):
                                                  np.array([0.4]), 300, cfg, KeyedRng(41),
                                                  compare_exact=True)
     assert disagreements == 0
-    assert np.all(m_used == 10)
+    # the rule's first batch, or no read where R = 0 certifies the step
+    assert np.all(np.isin(m_used, (0, 10)))
     assert 0.1 < buf.acceptance_rate < 0.9
 
 
@@ -1014,6 +1020,7 @@ def test_a_cached_proxy_equals_a_fresh_one_bit_for_bit(data, n):
         assert cached.centre.tobytes() == fresh.centre.tobytes()
         assert cached.grad_sum.tobytes() == fresh.grad_sum.tobytes()
         assert cached.hess_sum.tobytes() == fresh.hess_sum.tobytes()
+        assert cached.rem_sum.tobytes() == fresh.rem_sum.tobytes()
         theta, theta_new = np.array(data.draw(pair)), np.array(data.draw(pair))
         assert cached.llr_sum(theta, theta_new) == fresh.llr_sum(theta, theta_new)
         idx = np.random.default_rng(n).choice(n, size=min(n, 50), replace=False)
@@ -1072,3 +1079,154 @@ def test_a_target_holding_a_cached_proxy_is_collected():
     del target
     gc.collect()
     assert ref() is None
+
+
+# -- the certified decision -------------------------------------------------------
+
+# K = sup |f'''| / 6 for f = log sigma
+LOG_SIGMOID_K = 1.0 / (36.0 * math.sqrt(3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 300))
+def test_the_remainder_bound_holds_per_datum_and_in_sum(data, d, n):
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = gen.standard_normal((n, d)) * data.draw(st.floats(0.1, 5.0))
+    y = np.where(gen.random(n) < 0.5, 1.0, -1.0)
+    target = logistic_regression_target(X, y)
+
+    def vector(bound):
+        return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=d, max_size=d)))
+
+    # each of theta and theta' near the centre or far from it, where the
+    # remainder is large
+    centre = vector(3.0)
+    theta, theta_new = (centre + vector(data.draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0])))
+                        for _ in range(2))
+    proxy = TaylorProxy(target, centre)
+    idx = target.all_indices()
+    r = llr_terms(proxy.target, idx, theta, theta_new)
+    A = X * y[:, None]  # rows a_n = y_n x_n
+    per_datum = LOG_SIGMOID_K * (np.abs(A @ (theta_new - centre)) ** 3
+                                 + np.abs(A @ (theta - centre)) ** 3)
+    # a residual rounds at the size of l_n and of q_n, not of r_n
+    pair = np.array([theta_new, theta])
+    slack = 1e-12 * (np.abs(target.log_lik_terms(idx, pair)).sum(axis=0)
+                     + np.abs(target.taylor_log_lik_terms(idx, centre, pair)).sum(axis=0))
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(r) <= per_datum + slack + tiny)
+    bound = proxy.remainder_bound(theta, theta_new)
+    assert per_datum.sum() <= bound * (1.0 + 1e-12) + tiny
+    assert abs(float(r.sum())) <= bound + slack.sum() + tiny
+    # the kernel's third sum against a direct per-datum sum
+    direct = sum(LOG_SIGMOID_K * np.linalg.norm(a) * np.outer(a, a) for a in A)
+    rem = target.taylor_log_lik_terms(np.arange(n), centre)[2]
+    assert rem == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    assert proxy.rem_sum == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+
+def test_the_gaussian_models_remainder_sum_is_zero():
+    # its terms are exactly quadratic, so the proxy has no remainder
+    target = gaussian_iid_target(np.random.default_rng(48).normal(0.5, 1.0, 5000))
+    centre = np.array([0.3])
+    rem = target.taylor_log_lik_terms(target.all_indices(), centre)[2]
+    assert rem.shape == (1, 1) and not rem.any()
+    proxy = TaylorProxy(target, centre)
+    assert not proxy.rem_sum.any()
+    assert proxy.remainder_bound(np.array([-20.0]), np.array([40.0])) == 0.0
+
+
+def record_taylor(monkeypatch, target):
+    """Wrap ``target.taylor_log_lik_terms``; returns the list of (indices,
+    theta) of its calls, theta None for a sums call."""
+    calls = []
+    taylor = target.taylor_log_lik_terms
+
+    def recording(idx, c, th=None):
+        calls.append((idx, th))
+        return taylor(idx, c) if th is None else taylor(idx, c, th)
+
+    monkeypatch.setattr(target, "taylor_log_lik_terms", recording)
+    return calls
+
+
+def test_a_gaussian_run_reads_no_data_after_the_pass_and_is_exact_mh(monkeypatch):
+    # R = 0, so every step is certified: no likelihood row is read, the
+    # Taylor kernel serves only the pass, and the chain is exact MH's
+    xs = np.random.default_rng(49).normal(0.5, 1.0, 10_000)
+    target = gaussian_iid_target(xs)
+    reads, taylor = record_reads(monkeypatch, target), record_taylor(monkeypatch, target)
+    prop, theta0 = gaussian_random_walk(0.02), np.array([0.4])
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
+    buf, m_used = run_adaptive_mh(target, prop, theta0, 300, cfg, KeyedRng(50))
+    assert reads == [] and np.all(m_used == 0)
+    assert all(isinstance(idx, range) and th is None for idx, th in taylor)
+    assert sum(len(idx) for idx, _ in taylor) == len(xs)
+    exact = run_mh(gaussian_iid_target(xs), prop, theta0, 300, KeyedRng(50))
+    assert buf.draws.tobytes() == exact.draws.tobytes()
+    assert np.array_equal(buf.accept_flags, exact.accept_flags)
+    assert 0.1 < buf.acceptance_rate < 0.9
+
+
+def test_a_step_that_reads_nothing_takes_the_exact_decision(monkeypatch):
+    # replayed step by step on the run's keyed streams: a step with
+    # m_used == 0 reads no row and decides as all the data do, at its psi
+    n, T = 2000, 80
+    target = logistic_target(n, 51, d=3)
+    plain = logistic_target(n, 51, d=3)  # the same data, never recorded
+    prop, theta0 = gaussian_random_walk(0.08), np.ones(3)
+    cfg = StopRuleConfig(batch=20, epsilon=0.05, rule="ttest")
+    buf, m_used = run_adaptive_mh(target, prop, theta0, T, cfg, KeyedRng(52))
+    proxy = taylor_proxy(target, theta0)  # the run's
+    reads = record_reads(monkeypatch, target)
+    theta = theta0
+    for t in range(T):
+        reads.clear()
+        theta_new, psi, accept, m = subsample._subsampled_decision(
+            target, prop, theta, cfg, KeyedRng(52).derive("step", t), proxy)
+        assert accept == buf.accept_flags[t] and m == m_used[t]
+        assert sum(len(r) for r in reads) == m
+        if m == 0:
+            lam = float(np.mean(llr_terms(plain, plain.all_indices(), theta, theta_new)))
+            assert accept == (lam > psi)
+        theta = theta_new if accept else theta
+        assert np.array_equal(buf.draws[t], theta)
+    assert 0 < np.sum(m_used == 0) < T
+
+
+def test_a_first_order_proxy_certifies_no_step():
+    target = first_order(logistic_target(2000, 53, d=2))
+    proxy = TaylorProxy(target, np.zeros(2))
+    assert proxy.rem_sum is None
+    gen = np.random.default_rng(54)
+    for _ in range(50):
+        theta, theta_new = gen.normal(size=2), gen.normal(size=2)
+        assert proxy.remainder_bound(theta, theta_new) == math.inf
+        # a |gap| this far above any finite bound would settle the step
+        assert proxy.certify(theta, theta_new, 10.0 * gen.normal())[0] is None
+    _, m_used = run_adaptive_mh(target, gaussian_random_walk(0.05), np.zeros(2), 30,
+                                StopRuleConfig(batch=20), KeyedRng(55))
+    assert np.all(m_used >= 20)
+
+
+def test_a_gap_inside_the_margin_falls_back_to_the_rule(monkeypatch):
+    # on the Gaussian model B = 0, so only the floating-point margin
+    # separates a certified step from one the rule decides
+    target = gaussian_iid_target(np.random.default_rng(56).normal(0.5, 1.0, 1000))
+    n, theta0 = target.n_data, np.array([0.3])
+    proxy = TaylorProxy(target, theta0)
+
+    def threshold(frac, theta, theta_new):
+        # the psi whose gap, N psi - llr_sum, is frac margins from 0
+        lam = proxy.llr_sum(theta, theta_new)
+        return (lam + frac * subsample.CERT_MARGIN * (abs(lam) + n)) / n
+
+    theta, theta_new = np.array([0.45]), np.array([0.5])
+    for frac, settled in ((0.5, None), (-0.5, None), (3.0, False), (-3.0, True)):
+        assert proxy.certify(theta, theta_new, threshold(frac, theta, theta_new))[0] is settled
+    monkeypatch.setattr(subsample, "mh_log_threshold",
+                        lambda u, th, thn, *_: threshold(0.5, th, thn))
+    cfg = StopRuleConfig(batch=10, epsilon=0.05, rule="ttest")
+    *_, m = subsample._subsampled_decision(target, gaussian_random_walk(0.1), theta0, cfg,
+                                           np.random.default_rng(57), proxy)
+    assert m >= cfg.batch
