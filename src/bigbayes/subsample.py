@@ -164,7 +164,13 @@ class TaylorProxy:
         else:
             self.rem_sum = np.zeros((d, d))
             for b in blocks:
-                g, h, r = target.taylor_log_lik_terms(b, centre)
+                sums = target.taylor_log_lik_terms(b, centre)
+                if len(sums) != 3:
+                    raise ValueError(
+                        "taylor_log_lik_terms(idx, c) must return three sums "
+                        "(G, H, R), R bounding the quadratic model's remainder; "
+                        f"got {len(sums)}")
+                g, h, r = sums
                 self.grad_sum += g
                 self.hess_sum += h
                 self.rem_sum += r

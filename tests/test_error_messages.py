@@ -15,7 +15,7 @@ from bigbayes.prefetch import prefetch_run
 from bigbayes.rng import KeyedRng
 from bigbayes.sgld import MinibatchPlan, StepSchedule, run_sgld
 from bigbayes.simcluster import SimCluster
-from bigbayes.subsample import StopRuleConfig, mh_log_threshold, run_adaptive_mh
+from bigbayes.subsample import StopRuleConfig, TaylorProxy, mh_log_threshold, run_adaptive_mh
 from bigbayes.weierstrass import WeierstrassState, weierstrass_run, xi_update
 
 XS = np.linspace(-1.0, 1.0, 6)
@@ -35,6 +35,20 @@ def _unread_taylor_target():
     target = logistic_regression_target(gen.standard_normal((50, 1)),
                                         np.where(gen.random(50) < 0.5, 1.0, -1.0))
     return replace(target, taylor_log_lik_terms=lambda idx, c, th=None: _unread(idx))
+
+
+def _two_sum_taylor_target():
+    """A 50-datum logistic target whose Taylor kernel's pass returns only
+    (G, H), without the remainder sum R."""
+    gen = np.random.default_rng(0)
+    target = logistic_regression_target(gen.standard_normal((50, 1)),
+                                        np.where(gen.random(50) < 0.5, 1.0, -1.0))
+    kernel = target.taylor_log_lik_terms
+
+    def taylor(idx, c, th=None):
+        return kernel(idx, c)[:2] if th is None else kernel(idx, c, th)
+
+    return replace(target, taylor_log_lik_terms=taylor)
 
 
 def _weier_state(h=1.0):
@@ -116,6 +130,9 @@ CASES = {
                                "c_bound must be positive", ["-0.5"]),
     "c_bound zero StopRuleConfig": (lambda: StopRuleConfig(rule="bernstein", c_bound=0.0),
                                     "c_bound must be positive", ["0.0"]),
+    "Taylor kernel's sums TaylorProxy": (
+        lambda: TaylorProxy(_two_sum_taylor_target(), np.zeros(1)),
+        "taylor_log_lik_terms(idx, c) must return three sums (G, H, R)", ["2"]),
     "T run_sgld": (
         lambda: run_sgld(TARGET, np.zeros(1), -2, MinibatchPlan(6, 2, KeyedRng(0)),
                          StepSchedule(), KeyedRng(0)),

@@ -337,6 +337,16 @@ def counting_target(target, reads):
                    taylor_log_lik_terms=None if taylor is None else taylor_log_lik_terms)
 
 
+def certified_at(proxy, target, tree, key):
+    """``proxy.certify``'s decision for the step from ``key``'s parent to
+    ``key`` in ``tree``: the exact one, or None where the proxy's remainder
+    bound does not settle it."""
+    parent, node = tree.state_for_prefix(key[:-1]), tree.materialize(key).theta
+    psi = mh_log_threshold(tree.us[len(key) - 1], parent, node, tree.proposal,
+                           target.log_prior, target.n_data)
+    return proxy.certify(parent, node, psi)[0]
+
+
 def test_predictor_reads_the_gradients_once_then_one_batch_per_call():
     # a target without a Taylor kernel: the proxy is first order
     n, m = 10_000, 7
@@ -363,14 +373,17 @@ def test_predictor_reads_the_taylor_kernel_once_then_one_batch_per_call():
     # node; the first call also makes the pass
     n, m = 40_000, 7
     reads = {"lik": [], "grad": [], "taylor": []}
+    plain = logistic_setup(26, n)[0]
     target = counting_target(logistic_setup(26, n)[0], reads)
     predict = subsample_predictor(target, batch_size=m)
     assert reads == {"lik": [], "grad": [], "taylor": []}
     tree = make_tree(27, np.zeros(3))
+    proxy = taylor_proxy(plain, tree.root_theta)  # an uncounted twin of the predictor's
     for key in ["1", "01", "11", "011"]:
         before = len(reads["lik"])
         predict(tree, key[:-1], key)
-        assert reads["lik"][before:] in ([], [m])
+        settled = certified_at(proxy, plain, tree, key)
+        assert reads["lik"][before:] == ([m] if settled is None else [])
         assert sum(reads["taylor"]) == n + len(reads["lik"]) * m
     assert reads["grad"] == [] and max(reads["taylor"]) < n
 
@@ -389,7 +402,10 @@ def test_a_predictor_after_a_subsampling_run_from_its_root_makes_no_pass():
     tree = SpecTree(prop, theta, KeyedRng(31))
     ps = [predict(tree, key[:-1], key) for key in keys]
     # a batch of m, or no read at a node the proxy certifies
-    assert reads["taylor"][before:] == [m] * len(reads["taylor"][before:])
+    plain = logistic_setup(28, n)[0]
+    proxy = taylor_proxy(plain, theta)
+    want = [m for key in keys if certified_at(proxy, plain, tree, key) is None]
+    assert reads["taylor"][before:] == want
     # the same predictions as a predictor with a pass of its own
     fresh = subsample_predictor(logistic_setup(28, n)[0], batch_size=m, seed=30)
     tree = SpecTree(prop, theta, KeyedRng(31))
@@ -624,10 +640,7 @@ def test_a_certified_node_reads_no_rows_and_predicts_the_exact_decision():
         for key in ["1", "01", "11"]:
             before = len(reads["lik"]), len(reads["taylor"])
             p = predict(tree, key[:-1], key)
-            parent, node = tree.state_for_prefix(key[:-1]), tree.materialize(key).theta
-            psi = mh_log_threshold(tree.us[len(key) - 1], parent, node, tree.proposal,
-                                   plain.log_prior, n)
-            settled = proxy.certify(parent, node, psi)[0]
+            settled = certified_at(proxy, plain, tree, key)
             batches = reads["lik"][before[0]:], reads["taylor"][before[1]:]
             if settled is None:
                 assert batches == ([m], [m])
